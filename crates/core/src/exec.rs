@@ -17,7 +17,7 @@ use lightator_nn::layers::LayerNode;
 use lightator_nn::model::Sequential;
 use lightator_nn::quant::{quantize_symmetric, quantize_unsigned, PrecisionSchedule};
 use lightator_nn::tensor::Tensor;
-use lightator_photonics::noise::NoiseConfig;
+use lightator_photonics::noise::{DrawCounts, NoiseConfig};
 use serde::{Deserialize, Serialize};
 
 /// Result of evaluating a model photonically on a dataset split.
@@ -545,7 +545,7 @@ impl PhotonicExecutor {
                 .worker_patch
                 .iter_mut()
                 .zip(scratch.worker_a_norm.iter_mut());
-            let results: Vec<Result<()>> = std::thread::scope(|scope| {
+            let results: Vec<Result<DrawCounts>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = out
                     .data_mut()
                     .chunks_mut(chunk)
@@ -553,7 +553,8 @@ impl PhotonicExecutor {
                     .enumerate()
                     .map(|(worker, (out_chunk, (patch, a_norm)))| {
                         let mut worker_unit = unit.clone();
-                        scope.spawn(move || -> Result<()> {
+                        scope.spawn(move || -> Result<DrawCounts> {
+                            let drawn_before = worker_unit.draws();
                             let start = worker * chunk;
                             worker_unit.set_mac_cursor(layer_base + start as u64 * calls_per_item);
                             patch.resize(row_len, 0.0);
@@ -586,7 +587,7 @@ impl PhotonicExecutor {
                                 let value = normalized * weight_scale * f64::from(activation_scale);
                                 *slot = value as f32 + bias[oc];
                             }
-                            Ok(())
+                            Ok(worker_unit.draws() - drawn_before)
                         })
                     })
                     .collect();
@@ -602,7 +603,7 @@ impl PhotonicExecutor {
                     .collect()
             });
             for result in results {
-                result?;
+                self.mac_unit.add_draws(result?);
             }
             // The parent unit takes over at the end of the layer's cursor
             // range, exactly where a sequential walk would have landed.
@@ -702,21 +703,22 @@ impl PhotonicExecutor {
             let unit = &self.mac_unit;
             let bias = linear.bias().data();
             let rows = &encoded.rows;
-            let results: Vec<Result<()>> = std::thread::scope(|scope| {
+            let results: Vec<Result<DrawCounts>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = out
                     .data_mut()
                     .chunks_mut(chunk)
                     .enumerate()
                     .map(|(worker, out_chunk)| {
                         let mut worker_unit = unit.clone();
-                        scope.spawn(move || -> Result<()> {
+                        scope.spawn(move || -> Result<DrawCounts> {
+                            let drawn_before = worker_unit.draws();
                             let start = worker * chunk;
                             worker_unit.set_mac_cursor(layer_base + start as u64 * calls_per_item);
                             for (slot, o) in out_chunk.iter_mut().zip(start..) {
                                 let normalized = worker_unit.dot(&rows[o], a_norm)?;
                                 *slot = (normalized * scale) as f32 + bias[o];
                             }
-                            Ok(())
+                            Ok(worker_unit.draws() - drawn_before)
                         })
                     })
                     .collect();
@@ -732,7 +734,7 @@ impl PhotonicExecutor {
                     .collect()
             });
             for result in results {
-                result?;
+                self.mac_unit.add_draws(result?);
             }
             self.mac_unit
                 .set_mac_cursor(layer_base + out_features as u64 * calls_per_item);
@@ -1092,6 +1094,50 @@ mod tests {
                     "{workers}-worker tiling diverged from sequential"
                 );
             }
+        }
+    }
+
+    /// A 32×32 SobelX frame runs 1,024 MACs on 6 live lanes (the three
+    /// zero taps are parked), so with default noise it executes exactly
+    /// 6 intensity, 6 weight and 1 detection draw per MAC, whether the
+    /// stride loop runs on one worker or is tiled across two.
+    #[test]
+    fn sobel_frame_executes_exactly_its_live_lane_draws() {
+        use crate::platform::{ImageKernel, Platform, Workload};
+
+        let config = Platform::builder()
+            .sensor_resolution(64, 64)
+            .build()
+            .expect("platform")
+            .config()
+            .clone();
+        let workload = Workload::ImageKernel {
+            kernel: ImageKernel::SobelX,
+        };
+        let mut rng = SmallRng::seed_from_u64(5);
+        let frame = Tensor::from_vec(
+            (0..32 * 32)
+                .map(|_| rand::Rng::gen::<f32>(&mut rng))
+                .collect(),
+            &[1, 32, 32],
+        )
+        .expect("frame");
+        for workers in [1usize, 2] {
+            let mut plan = CompiledPlan::compile(&workload, &config, 0).expect("plan");
+            let mut executor =
+                PhotonicExecutor::new(plan.schedule(), NoiseConfig::default(), 7).expect("ok");
+            executor.set_workers(workers);
+            executor.forward_planned(&mut plan, &frame).expect("ok");
+            assert_eq!(executor.mac_unit.segments_evaluated(), 1_024);
+            assert_eq!(
+                executor.mac_unit.draws(),
+                DrawCounts {
+                    intensity: 1_024 * 6,
+                    weight: 1_024 * 6,
+                    detection: 1_024,
+                },
+                "{workers} worker(s)"
+            );
         }
     }
 

@@ -9,7 +9,7 @@ use crate::config::OcGeometry;
 use crate::error::{CoreError, Result};
 use lightator_photonics::arm::{ArmConfig, OpticalArm};
 use lightator_photonics::microring::MicroringConfig;
-use lightator_photonics::noise::NoiseConfig;
+use lightator_photonics::noise::{DrawCounts, NoiseConfig};
 use lightator_photonics::units::Power;
 use serde::{Deserialize, Serialize};
 
@@ -35,6 +35,8 @@ pub struct PhotonicMacUnit {
     arm: OpticalArm,
     seed: u64,
     segments_evaluated: u64,
+    /// Draws executed by worker clones of this unit and added back.
+    worker_draws: DrawCounts,
 }
 
 impl PhotonicMacUnit {
@@ -68,6 +70,7 @@ impl PhotonicMacUnit {
             arm,
             seed,
             segments_evaluated: 0,
+            worker_draws: DrawCounts::default(),
         })
     }
 
@@ -110,6 +113,21 @@ impl PhotonicMacUnit {
     #[must_use]
     pub fn segments_evaluated(&self) -> u64 {
         self.segments_evaluated
+    }
+
+    /// Adds draws executed by worker clones of this unit (the difference
+    /// between a clone's [`PhotonicMacUnit::draws`] after and before its
+    /// work) to the draw counters.
+    pub(crate) fn add_draws(&mut self, draws: DrawCounts) {
+        self.worker_draws += draws;
+    }
+
+    /// Gaussian draws executed so far, per noise channel, including those
+    /// of worker clones added back by the tiled loops. Parked lanes and
+    /// zero-sigma channels execute none.
+    #[must_use]
+    pub fn draws(&self) -> DrawCounts {
+        self.arm.draws() + self.worker_draws
     }
 
     /// Number of MAC elements one segment carries.

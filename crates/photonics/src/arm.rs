@@ -20,8 +20,8 @@
 //! tile MAC loops across threads bit-exactly.
 
 use crate::error::{PhotonicsError, Result};
-use crate::microring::{MicroringConfig, MicroringResonator};
-use crate::noise::{NoiseConfig, NoiseInjector};
+use crate::microring::{MicroringConfig, MicroringResonator, Notch};
+use crate::noise::{DrawCounts, NoiseConfig, NoiseInjector};
 use crate::units::Power;
 use crate::wdm::{CrosstalkModel, WdmGrid};
 use serde::{Deserialize, Serialize};
@@ -88,6 +88,10 @@ pub struct OpticalArm {
     crosstalk: CrosstalkModel,
     injector: NoiseInjector,
     mac_cursor: u64,
+    /// Draws one MAC executes with the loaded weights.
+    mac_draws: DrawCounts,
+    /// Draws executed since the arm was built.
+    draws: DrawCounts,
 }
 
 impl OpticalArm {
@@ -106,17 +110,22 @@ impl OpticalArm {
             });
         }
         config.ring.validate()?;
+        // The ring design is shared by every MR, so its notch constants are
+        // derived once here and handed to the rings and the crosstalk table.
+        let notch = Notch::of(&config.ring);
         let grid = WdmGrid::lightator_arm(config.channels)?;
-        let mut rings = Vec::with_capacity(config.channels);
-        for i in 0..config.channels {
-            rings.push(MicroringResonator::new(config.ring, grid.wavelength(i)?)?);
-        }
-        let crosstalk = if config.noise.apply_crosstalk {
-            CrosstalkModel::new(grid.clone(), config.ring)
-        } else {
-            CrosstalkModel::ideal(grid.clone(), config.ring)
-        };
+        let rings = grid
+            .iter()
+            .map(|channel| MicroringResonator::with_notch(config.ring, notch, channel))
+            .collect();
+        let crosstalk = CrosstalkModel::with_notch(
+            grid.clone(),
+            config.ring,
+            notch,
+            config.noise.apply_crosstalk,
+        );
         let injector = NoiseInjector::new(config.noise);
+        let mac_draws = injector.mac_draws(0);
         let channels = config.channels;
         Ok(Self {
             config,
@@ -126,6 +135,8 @@ impl OpticalArm {
             crosstalk,
             injector,
             mac_cursor: 0,
+            mac_draws,
+            draws: DrawCounts::default(),
         })
     }
 
@@ -174,6 +185,13 @@ impl OpticalArm {
         &self.grid
     }
 
+    /// Gaussian draws executed by [`OpticalArm::mac`] since the arm was
+    /// built, per noise channel.
+    #[must_use]
+    pub fn draws(&self) -> DrawCounts {
+        self.draws
+    }
+
     /// The currently loaded signed weights.
     #[must_use]
     pub fn weights(&self) -> &[f64] {
@@ -204,21 +222,19 @@ impl OpticalArm {
                 return Err(PhotonicsError::WeightOutOfRange { weight: w });
             }
         }
-        for (i, ring) in self.rings.iter_mut().enumerate() {
+        for (i, (ring, slot)) in self.rings.iter_mut().zip(&mut self.weights).enumerate() {
             let w = weights.get(i).copied().unwrap_or(0.0);
-            self.weights[i] = w;
+            *slot = w;
             if w == 0.0 {
                 ring.park();
             } else {
                 // The MR holds the magnitude; the sign selects the BPD rail.
                 // Weight 1.0 maps to the maximum representable transmission.
-                let magnitude = w.abs().min(ring.config().maximum_transmission());
+                let magnitude = w.abs().min(ring.notch().t_max);
                 ring.set_weight(magnitude)?;
             }
         }
-        for w in self.weights.iter_mut().skip(weights.len()) {
-            *w = 0.0;
-        }
+        self.mac_draws = self.injector.mac_draws(self.active_rings() as u64);
         Ok(())
     }
 
@@ -227,10 +243,13 @@ impl OpticalArm {
     /// The activation vector may be shorter than the arm; missing channels
     /// contribute nothing. Non-idealities (VCSEL noise, crosstalk, weight
     /// error, detection noise) are applied according to the arm's
-    /// [`NoiseConfig`], keyed by the MAC cursor: lane `i` of cursor `c`
-    /// draws intensity/weight noise at element `c·channels + i` and the
-    /// balanced detector draws at element `c`. The cursor advances by one
-    /// per call.
+    /// [`NoiseConfig`], keyed by the MAC cursor: a lane `i` holding a
+    /// non-zero weight draws intensity and weight noise at element
+    /// `c·channels + i` of cursor `c`, and the balanced detector draws at
+    /// element `c`. A parked lane (weight 0) draws neither intensity nor
+    /// weight noise: its light never reaches the detector, and because
+    /// draws are keyed, skipping them shifts no other draw. The cursor
+    /// advances by one per call.
     ///
     /// # Errors
     ///
@@ -251,40 +270,37 @@ impl OpticalArm {
             }
         }
 
-        let mut intensities: Vec<f64> = (0..self.config.channels)
-            .map(|i| activations.get(i).copied().unwrap_or(0.0))
-            .collect();
-        let ideal: f64 = intensities
-            .iter()
+        let activation = |i: usize| activations.get(i).copied().unwrap_or(0.0);
+        let ideal: f64 = (0..self.config.channels)
             .zip(&self.weights)
-            .map(|(a, w)| a * w)
+            .map(|(i, w)| activation(i) * w)
             .sum();
 
         let lane_base = self.mac_cursor.wrapping_mul(self.config.channels as u64);
-        // 1. VCSEL amplitude noise, keyed per lane.
-        for (i, value) in intensities.iter_mut().enumerate() {
-            *value = self
-                .injector
-                .perturb_intensity(lane_base.wrapping_add(i as u64), *value);
-        }
-        // 2. Inter-channel crosstalk along the shared bus.
-        self.crosstalk.apply(&mut intensities)?;
-        // 3. Weighting by the realised (noisy) MR transmissions, routed to the
-        //    positive or negative BPD rail according to the weight sign. Weight
-        //    noise is keyed by lane, so parked rings skip their draws without
-        //    shifting any other lane's sequence.
+        let lanes = self
+            .weights
+            .iter()
+            .zip(&self.rings)
+            .zip(self.crosstalk.factors());
         let mut positive = 0.0;
         let mut negative = 0.0;
-        for (i, &a) in intensities.iter().enumerate() {
-            let w = self.weights[i];
+        for (i, ((&w, ring), &crosstalk)) in lanes.enumerate() {
+            // Crosstalk is a per-channel factor that mixes no intensities,
+            // so a parked lane's light never reaches the detector: it skips
+            // both of its draws, and keyed draws keep every other lane's.
             if w == 0.0 {
                 continue;
             }
-            let realised = self.rings[i].channel_transmission();
+            let lane = lane_base.wrapping_add(i as u64);
+            // 1. VCSEL amplitude noise, then 2. the aggregate crosstalk of
+            //    the other rings on the shared bus.
+            let intensity = self.injector.perturb_intensity(lane, activation(i)) * crosstalk;
+            // 3. Weighting by the realised (noisy) MR transmission, routed
+            //    to the positive or negative BPD rail by the weight sign.
             let realised = self
                 .injector
-                .perturb_weight(lane_base.wrapping_add(i as u64), realised);
-            let product = a * realised;
+                .perturb_weight(lane, ring.channel_transmission());
+            let product = intensity * realised;
             if w >= 0.0 {
                 positive += product;
             } else {
@@ -297,6 +313,7 @@ impl OpticalArm {
             .injector
             .perturb_detection(self.mac_cursor, positive - negative);
         self.mac_cursor = self.mac_cursor.wrapping_add(1);
+        self.draws += self.mac_draws;
         Ok(ArmOutput {
             value: detected,
             ideal,

@@ -54,7 +54,7 @@ pub mod wdm;
 pub use arm::{ArmConfig, ArmOutput, OpticalArm};
 pub use error::{PhotonicsError, Result};
 pub use microring::{MicroringConfig, MicroringResonator};
-pub use noise::{CounterRng, NoiseChannel, NoiseConfig, NoiseInjector};
+pub use noise::{CounterRng, DrawCounts, NoiseChannel, NoiseConfig, NoiseInjector};
 pub use photodetector::{BalancedPhotodetector, Photodetector, PhotodetectorConfig};
 pub use power::DevicePowerTable;
 pub use units::{Area, Current, Energy, Power, Time, Voltage, Wavelength};

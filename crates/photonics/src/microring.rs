@@ -149,6 +149,58 @@ impl MicroringConfig {
     }
 }
 
+/// The Lorentzian-notch constants of one ring design, derived once from a
+/// [`MicroringConfig`] so the per-weight and per-MAC paths pay no `powf`.
+///
+/// Every forward notch expression in the crate goes through these methods,
+/// with the constants either derived per call (the public reference
+/// formulas) or derived once per arm (the cached hot path), so both give the
+/// same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Notch {
+    /// Through-port transmission at exact resonance.
+    pub(crate) t_min: f64,
+    /// Off-resonance transmission (insertion loss only).
+    pub(crate) t_max: f64,
+    /// Half width at half maximum of the resonance, in nm.
+    pub(crate) half_width_nm: f64,
+}
+
+impl Notch {
+    pub(crate) fn of(config: &MicroringConfig) -> Self {
+        Self {
+            t_min: config.minimum_transmission(),
+            t_max: config.maximum_transmission(),
+            half_width_nm: config.fwhm().nm() / 2.0,
+        }
+    }
+
+    /// Lorentzian line shape at `delta_nm` from resonance (1 on resonance).
+    #[inline]
+    fn lorentz(&self, delta_nm: f64) -> f64 {
+        1.0 / (1.0 + (delta_nm / self.half_width_nm).powi(2))
+    }
+
+    /// Loss-free through-port dip, `1 − (1 − T_min)·L(δ)`.
+    #[inline]
+    pub(crate) fn dip(&self, delta_nm: f64) -> f64 {
+        1.0 - (1.0 - self.t_min) * self.lorentz(delta_nm)
+    }
+
+    /// Through-port transmission of a ring resonant at `resonance_nm`, seen
+    /// at `probe_nm`.
+    #[inline]
+    fn through_port(&self, probe_nm: f64, resonance_nm: f64) -> f64 {
+        self.t_max * self.dip(probe_nm - resonance_nm)
+    }
+
+    /// Drop-port transmission of a ring resonant at `resonance_nm`, seen at
+    /// `probe_nm`.
+    fn drop_port(&self, probe_nm: f64, resonance_nm: f64) -> f64 {
+        self.t_max * (1.0 - self.t_min) * self.lorentz(probe_nm - resonance_nm)
+    }
+}
+
 /// An actively tuned micro-ring resonator holding one weight value.
 ///
 /// The ring is created from a [`MicroringConfig`] and a *target* wavelength —
@@ -171,9 +223,10 @@ impl MicroringConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicroringResonator {
     config: MicroringConfig,
+    notch: Notch,
     channel: Wavelength,
     /// Current resonance detuning relative to the channel wavelength, nm.
     detuning_nm: f64,
@@ -183,6 +236,9 @@ pub struct MicroringResonator {
     weight: f64,
     /// Whether the tuning circuit is powered (a parked ring consumes nothing).
     active: bool,
+    /// Channel transmission for the current tuning, refreshed whenever the
+    /// tuning changes.
+    transmission: f64,
 }
 
 impl MicroringResonator {
@@ -196,19 +252,35 @@ impl MicroringResonator {
     /// invalid.
     pub fn new(config: MicroringConfig, channel: Wavelength) -> Result<Self> {
         config.validate()?;
-        Ok(Self {
+        Ok(Self::with_notch(config, Notch::of(&config), channel))
+    }
+
+    /// Creates a parked ring from an already validated configuration and
+    /// its derived notch constants, so an arm validates and derives them
+    /// once for all of its rings.
+    pub(crate) fn with_notch(config: MicroringConfig, notch: Notch, channel: Wavelength) -> Self {
+        let mut ring = Self {
             config,
+            notch,
             channel,
-            detuning_nm: config.tunable_range_nm,
+            detuning_nm: 0.0,
             weight: 1.0,
             active: false,
-        })
+            transmission: 0.0,
+        };
+        ring.park();
+        ring
     }
 
     /// The static configuration of this ring.
     #[must_use]
     pub fn config(&self) -> &MicroringConfig {
         &self.config
+    }
+
+    /// The notch constants of this ring's design.
+    pub(crate) fn notch(&self) -> &Notch {
+        &self.notch
     }
 
     /// The WDM channel this ring weights.
@@ -241,19 +313,28 @@ impl MicroringResonator {
         self.detuning_nm = self.config.tunable_range_nm;
         self.weight = 1.0;
         self.active = false;
+        self.refresh_transmission();
+    }
+
+    fn resonance_nm(&self) -> f64 {
+        self.channel.nm() + self.detuning_nm
+    }
+
+    /// Re-derives the cached channel transmission after a tuning change.
+    fn refresh_transmission(&mut self) {
+        self.transmission = self
+            .notch
+            .through_port(self.channel.nm(), self.resonance_nm());
     }
 
     /// Through-port transmission at an arbitrary probe wavelength, for the
     /// current tuning state. Lorentzian notch model.
+    ///
+    /// This is the reference formula: it derives the notch constants from
+    /// the configuration on every call.
     #[must_use]
     pub fn transmission_at(&self, probe: Wavelength) -> f64 {
-        let resonance_nm = self.channel.nm() + self.detuning_nm;
-        let delta = probe.nm() - resonance_nm;
-        let half_width = self.config.fwhm().nm() / 2.0;
-        let lorentz = 1.0 / (1.0 + (delta / half_width).powi(2));
-        let t_min = self.config.minimum_transmission();
-        let t_max = self.config.maximum_transmission();
-        t_max * (1.0 - (1.0 - t_min) * lorentz)
+        Notch::of(&self.config).through_port(probe.nm(), self.resonance_nm())
     }
 
     /// Drop-port transmission at a probe wavelength (complementary Lorentzian
@@ -261,19 +342,19 @@ impl MicroringResonator {
     /// banks.
     #[must_use]
     pub fn drop_transmission_at(&self, probe: Wavelength) -> f64 {
-        let resonance_nm = self.channel.nm() + self.detuning_nm;
-        let delta = probe.nm() - resonance_nm;
-        let half_width = self.config.fwhm().nm() / 2.0;
-        let lorentz = 1.0 / (1.0 + (delta / half_width).powi(2));
-        let t_min = self.config.minimum_transmission();
-        let t_max = self.config.maximum_transmission();
-        t_max * (1.0 - t_min) * lorentz
+        Notch::of(&self.config).drop_port(probe.nm(), self.resonance_nm())
     }
 
     /// Transmission realised at the assigned channel wavelength.
+    ///
+    /// Cached when the tuning changes ([`set_weight`], [`park`]); always
+    /// equal, bit for bit, to `transmission_at(channel())`.
+    ///
+    /// [`set_weight`]: MicroringResonator::set_weight
+    /// [`park`]: MicroringResonator::park
     #[must_use]
     pub fn channel_transmission(&self) -> f64 {
-        self.transmission_at(self.channel)
+        self.transmission
     }
 
     /// Programs the ring so that the channel transmission equals `weight`.
@@ -296,21 +377,24 @@ impl MicroringResonator {
         if !weight.is_finite() || !(0.0..=1.0).contains(&weight) {
             return Err(PhotonicsError::WeightOutOfRange { weight });
         }
-        let t_min = self.config.minimum_transmission();
-        let t_max = self.config.maximum_transmission();
+        let Notch {
+            t_min,
+            t_max,
+            half_width_nm,
+        } = self.notch;
         let clamped = (weight / t_max).clamp(t_min, 1.0 - 1e-12);
         // Invert the Lorentzian: clamped = 1 - (1 - t_min) * L, with
         // L = 1 / (1 + (δ/HWHM)²).
         let lorentz = (1.0 - clamped) / (1.0 - t_min);
-        let half_width = self.config.fwhm().nm() / 2.0;
         let detuning = if lorentz >= 1.0 {
             0.0
         } else {
-            half_width * ((1.0 - lorentz) / lorentz).sqrt()
+            half_width_nm * ((1.0 - lorentz) / lorentz).sqrt()
         };
         self.detuning_nm = detuning.min(self.config.tunable_range_nm);
         self.weight = weight;
         self.active = true;
+        self.refresh_transmission();
         Ok(())
     }
 

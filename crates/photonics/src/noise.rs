@@ -21,6 +21,7 @@
 //!   bits exactly.
 
 use serde::{Deserialize, Serialize};
+use std::ops::{Add, AddAssign, Sub};
 
 /// Configuration of the analog non-idealities applied to the photonic MAC.
 ///
@@ -109,6 +110,49 @@ impl NoiseChannel {
             NoiseChannel::Intensity => 0,
             NoiseChannel::Weight => 1,
             NoiseChannel::Detection => 2,
+        }
+    }
+}
+
+/// Executed Gaussian draws, counted per [`NoiseChannel`].
+///
+/// A channel whose sigma is zero executes no draws (see
+/// [`CounterRng::sample`]), so the counts are the work actually done, and
+/// they are deterministic for a given workload and configuration.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrawCounts {
+    /// VCSEL intensity draws.
+    pub intensity: u64,
+    /// MR weight draws.
+    pub weight: u64,
+    /// Balanced-detector draws.
+    pub detection: u64,
+}
+
+impl Add for DrawCounts {
+    type Output = Self;
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            intensity: self.intensity + rhs.intensity,
+            weight: self.weight + rhs.weight,
+            detection: self.detection + rhs.detection,
+        }
+    }
+}
+
+impl AddAssign for DrawCounts {
+    fn add_assign(&mut self, rhs: Self) {
+        *self = *self + rhs;
+    }
+}
+
+impl Sub for DrawCounts {
+    type Output = Self;
+    fn sub(self, rhs: Self) -> Self {
+        Self {
+            intensity: self.intensity - rhs.intensity,
+            weight: self.weight - rhs.weight,
+            detection: self.detection - rhs.detection,
         }
     }
 }
@@ -249,6 +293,18 @@ impl NoiseInjector {
     /// `(seed, frame, channel, element)`.
     pub fn begin_frame(&mut self, seed: u64, frame: u64) {
         self.rng = CounterRng::new(seed, frame);
+    }
+
+    /// The draws one MAC executes over `lanes` live lanes: an intensity and
+    /// a weight draw per lane plus one detection draw, each only when its
+    /// channel's sigma is non-zero.
+    pub(crate) fn mac_draws(&self, lanes: u64) -> DrawCounts {
+        let executed = |sigma: f64, draws: u64| if sigma == 0.0 { 0 } else { draws };
+        DrawCounts {
+            intensity: executed(self.config.vcsel_relative_sigma, lanes),
+            weight: executed(self.config.weight_sigma, lanes),
+            detection: executed(self.config.detector_relative_sigma, 1),
+        }
     }
 
     /// Perturbs a normalised VCSEL intensity (full scale = 1.0). The result

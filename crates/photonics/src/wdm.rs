@@ -7,7 +7,7 @@
 //! non-coherent photonic accelerators.
 
 use crate::error::{PhotonicsError, Result};
-use crate::microring::MicroringConfig;
+use crate::microring::{MicroringConfig, Notch};
 use crate::units::Wavelength;
 use serde::{Deserialize, Serialize};
 
@@ -99,15 +99,18 @@ impl WdmGrid {
                 channels: self.channels,
             });
         }
-        Ok(Wavelength::from_nm(
-            self.start.nm() + self.spacing.nm() * index as f64,
-        ))
+        Ok(Wavelength::from_nm(self.nm(index)))
     }
 
     /// Iterator over all channel wavelengths in index order.
     pub fn iter(&self) -> impl Iterator<Item = Wavelength> + '_ {
-        (0..self.channels)
-            .map(move |i| Wavelength::from_nm(self.start.nm() + self.spacing.nm() * i as f64))
+        (0..self.channels).map(move |i| Wavelength::from_nm(self.nm(i)))
+    }
+
+    /// Wavelength of channel `index` in nm, unchecked.
+    #[inline]
+    fn nm(&self, index: usize) -> f64 {
+        self.start.nm() + self.spacing.nm() * index as f64
     }
 }
 
@@ -116,33 +119,61 @@ impl WdmGrid {
 /// When the ring assigned to channel *j* is tuned, its Lorentzian tail also
 /// attenuates channel *i ≠ j* by a factor that depends on the spectral
 /// distance `|i − j| · spacing` and the ring linewidth. The model exposes the
-/// full crosstalk matrix so the arm simulation can apply it to the activation
-/// vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// full crosstalk matrix, and precomputes each channel's aggregate factor
+/// (the product over all other rings) when it is built, so applying it to
+/// the activation vector is one multiply per channel.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrosstalkModel {
     grid: WdmGrid,
     ring: MicroringConfig,
     enabled: bool,
+    /// Aggregate factor per channel; all ones when the model is disabled.
+    factors: Vec<f64>,
 }
 
 impl CrosstalkModel {
     /// Creates a crosstalk model for the given grid and ring design.
     #[must_use]
     pub fn new(grid: WdmGrid, ring: MicroringConfig) -> Self {
-        Self {
-            grid,
-            ring,
-            enabled: true,
-        }
+        Self::with_notch(grid, ring, Notch::of(&ring), true)
     }
 
     /// Creates a disabled (ideal, crosstalk-free) model for the same grid.
     #[must_use]
     pub fn ideal(grid: WdmGrid, ring: MicroringConfig) -> Self {
+        Self::with_notch(grid, ring, Notch::of(&ring), false)
+    }
+
+    /// Builds the model from the ring design's already derived notch
+    /// constants. Each aggregate factor multiplies the
+    /// [`CrosstalkModel::parasitic_transmission`] terms in the same `j`
+    /// order, with the same expression, so it matches their product bit
+    /// for bit.
+    pub(crate) fn with_notch(
+        grid: WdmGrid,
+        ring: MicroringConfig,
+        notch: Notch,
+        enabled: bool,
+    ) -> Self {
+        let n = grid.channels();
+        let factors = if enabled {
+            (0..n)
+                .map(|i| {
+                    let mut factor = 1.0;
+                    for j in (0..n).filter(|&j| j != i) {
+                        factor *= notch.dip(grid.nm(i) - grid.nm(j));
+                    }
+                    factor
+                })
+                .collect()
+        } else {
+            vec![1.0; n]
+        };
         Self {
             grid,
             ring,
-            enabled: false,
+            enabled,
+            factors,
         }
     }
 
@@ -179,11 +210,7 @@ impl CrosstalkModel {
         if !self.enabled || ring_channel == signal_channel {
             return Ok(1.0);
         }
-        let delta = signal_lambda.nm() - ring_lambda.nm();
-        let half_width = self.ring.fwhm().nm() / 2.0;
-        let lorentz = 1.0 / (1.0 + (delta / half_width).powi(2));
-        let t_min = self.ring.minimum_transmission();
-        Ok(1.0 - (1.0 - t_min) * lorentz)
+        Ok(Notch::of(&self.ring).dip(signal_lambda.nm() - ring_lambda.nm()))
     }
 
     /// Full crosstalk matrix `M` where `M[i][j]` is the parasitic
@@ -205,6 +232,13 @@ impl CrosstalkModel {
         Ok(m)
     }
 
+    /// Aggregate crosstalk factor of each channel: the product of the
+    /// parasitic transmissions of every other ring in the arm. All ones when
+    /// the model is disabled.
+    pub(crate) fn factors(&self) -> &[f64] {
+        &self.factors
+    }
+
     /// Applies the aggregate crosstalk of all rings in an arm to a vector of
     /// per-channel optical intensities, in place.
     ///
@@ -222,16 +256,7 @@ impl CrosstalkModel {
         if !self.enabled {
             return Ok(());
         }
-        let n = intensities.len();
-        let mut factors = vec![1.0; n];
-        for (i, factor) in factors.iter_mut().enumerate() {
-            for j in 0..n {
-                if i != j {
-                    *factor *= self.parasitic_transmission(j, i)?;
-                }
-            }
-        }
-        for (value, factor) in intensities.iter_mut().zip(factors) {
+        for (value, factor) in intensities.iter_mut().zip(&self.factors) {
             *value *= factor;
         }
         Ok(())
@@ -239,23 +264,10 @@ impl CrosstalkModel {
 
     /// Worst-case aggregate crosstalk penalty in dB experienced by any
     /// channel of the grid (useful for reporting / design-space sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Propagates grid errors (cannot occur for a well-formed grid).
-    pub fn worst_case_penalty_db(&self) -> Result<f64> {
-        let n = self.grid.channels();
-        let mut worst: f64 = 1.0;
-        for i in 0..n {
-            let mut factor = 1.0;
-            for j in 0..n {
-                if i != j {
-                    factor *= self.parasitic_transmission(j, i)?;
-                }
-            }
-            worst = worst.min(factor);
-        }
-        Ok(-10.0 * worst.log10())
+    #[must_use]
+    pub fn worst_case_penalty_db(&self) -> f64 {
+        let worst = self.factors.iter().fold(1.0f64, |worst, &f| worst.min(f));
+        -10.0 * worst.log10()
     }
 }
 
@@ -361,7 +373,7 @@ mod tests {
     #[test]
     fn worst_case_penalty_is_positive_but_small() {
         let model = CrosstalkModel::new(grid(), MicroringConfig::default());
-        let penalty = model.worst_case_penalty_db().expect("ok");
+        let penalty = model.worst_case_penalty_db();
         assert!(penalty > 0.0);
         assert!(
             penalty < 3.0,

@@ -1,8 +1,8 @@
 //! Property-based tests for the photonic device models.
 
-use lightator_photonics::arm::{ArmConfig, OpticalArm};
+use lightator_photonics::arm::{ArmConfig, ArmOutput, OpticalArm};
 use lightator_photonics::microring::{MicroringConfig, MicroringResonator};
-use lightator_photonics::noise::NoiseConfig;
+use lightator_photonics::noise::{NoiseConfig, NoiseInjector};
 use lightator_photonics::photodetector::{BalancedPhotodetector, PhotodetectorConfig};
 use lightator_photonics::units::{Power, Wavelength};
 use lightator_photonics::vcsel::{ModulatedVcsel, VcselConfig};
@@ -10,7 +10,176 @@ use lightator_photonics::waveguide::{LinkBudget, WaveguideConfig};
 use lightator_photonics::wdm::{CrosstalkModel, WdmGrid};
 use proptest::prelude::*;
 
+/// The arm's MAC computed the way it was before the device constants were
+/// folded out of the hot path: a full intensity vector in which every lane
+/// draws intensity noise, crosstalk as per-call `parasitic_transmission`
+/// products, and each ring's transmission from `transmission_at`. `cursor`
+/// is the MAC cursor the call runs at.
+fn reference_mac(
+    config: &ArmConfig,
+    weights: &[f64],
+    (seed, frame, cursor): (u64, u64, u64),
+    activations: &[f64],
+) -> ArmOutput {
+    let n = config.channels;
+    let grid = WdmGrid::lightator_arm(n).unwrap();
+    let weights: Vec<f64> = (0..n)
+        .map(|i| weights.get(i).copied().unwrap_or(0.0))
+        .collect();
+    let rings: Vec<MicroringResonator> = weights
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| {
+            let mut ring =
+                MicroringResonator::new(config.ring, grid.wavelength(i).unwrap()).unwrap();
+            if w != 0.0 {
+                let magnitude = w.abs().min(config.ring.maximum_transmission());
+                ring.set_weight(magnitude).unwrap();
+            }
+            ring
+        })
+        .collect();
+    let crosstalk = if config.noise.apply_crosstalk {
+        CrosstalkModel::new(grid, config.ring)
+    } else {
+        CrosstalkModel::ideal(grid, config.ring)
+    };
+    let mut injector = NoiseInjector::new(config.noise);
+    injector.begin_frame(seed, frame);
+
+    let mut intensities: Vec<f64> = (0..n)
+        .map(|i| activations.get(i).copied().unwrap_or(0.0))
+        .collect();
+    let ideal: f64 = intensities.iter().zip(&weights).map(|(a, w)| a * w).sum();
+    let lane_base = cursor.wrapping_mul(n as u64);
+    for (i, value) in intensities.iter_mut().enumerate() {
+        *value = injector.perturb_intensity(lane_base.wrapping_add(i as u64), *value);
+    }
+    if crosstalk.is_enabled() {
+        for (i, value) in intensities.iter_mut().enumerate() {
+            let mut factor = 1.0;
+            for j in 0..n {
+                if i != j {
+                    factor *= crosstalk.parasitic_transmission(j, i).unwrap();
+                }
+            }
+            *value *= factor;
+        }
+    }
+    let mut positive = 0.0;
+    let mut negative = 0.0;
+    for (i, (&a, &w)) in intensities.iter().zip(&weights).enumerate() {
+        if w == 0.0 {
+            continue;
+        }
+        let realised = rings[i].transmission_at(rings[i].channel());
+        let realised = injector.perturb_weight(lane_base.wrapping_add(i as u64), realised);
+        if w >= 0.0 {
+            positive += a * realised;
+        } else {
+            negative += a * realised;
+        }
+    }
+    ArmOutput {
+        value: injector.perturb_detection(cursor, positive - negative),
+        ideal,
+    }
+}
+
+/// A sampled value with its edge cases made likely: `kind` 0 gives 0, 1
+/// gives the full-scale `edge`, anything else `value`.
+fn with_edges(kind: u8, value: f64, edge: f64) -> f64 {
+    match kind {
+        0 => 0.0,
+        1 => edge,
+        _ => value,
+    }
+}
+
 proptest! {
+    /// The arm's MAC matches the pre-folding reference formulas bit for bit
+    /// for any arm width, ring design, noise toggle, weight pattern (zero
+    /// and full-scale weights included), short vectors and cursor position.
+    #[test]
+    fn arm_mac_matches_reference_formulas_bitwise(
+        channels in 1usize..=16,
+        ring in (5.0f64..30.0, 2_000.0f64..20_000.0, 0.0f64..1.0),
+        toggles in (0u8..16, 0u64..1_000, 0u64..64, 0u64..1_000),
+        weights in proptest::collection::vec((0u8..5, -1.0f64..1.0), 0..=16),
+        activations in proptest::collection::vec((0u8..5, 0.0f64..1.0), 0..=16),
+    ) {
+        let (extinction_ratio_db, quality_factor, insertion_loss_db) = ring;
+        let (mask, seed, frame, cursor) = toggles;
+        let on = |bit: u8, sigma: f64| if mask & (1 << bit) == 0 { 0.0 } else { sigma };
+        let base = NoiseConfig::default();
+        let config = ArmConfig {
+            channels,
+            ring: MicroringConfig {
+                extinction_ratio_db,
+                quality_factor,
+                insertion_loss_db,
+                ..MicroringConfig::default()
+            },
+            noise: NoiseConfig {
+                vcsel_relative_sigma: on(0, base.vcsel_relative_sigma),
+                weight_sigma: on(1, base.weight_sigma),
+                detector_relative_sigma: on(2, base.detector_relative_sigma),
+                apply_crosstalk: mask & (1 << 3) != 0,
+            },
+        };
+        let weights: Vec<f64> = weights
+            .iter()
+            .take(channels)
+            .map(|&(kind, w)| with_edges(kind, w, if w < 0.0 { -1.0 } else { 1.0 }))
+            .collect();
+        let activations: Vec<f64> = activations
+            .iter()
+            .take(channels)
+            .map(|&(kind, a)| with_edges(kind, a, 1.0))
+            .collect();
+
+        let mut arm = OpticalArm::new(config.clone()).unwrap();
+        arm.load_weights(&weights).unwrap();
+        arm.begin_frame(seed, frame);
+        arm.set_mac_cursor(cursor);
+        for call in cursor..cursor + 3 {
+            let got = arm.mac(&activations).unwrap();
+            let expected = reference_mac(&config, &weights, (seed, frame, call), &activations);
+            prop_assert_eq!(got.value.to_bits(), expected.value.to_bits(), "value at cursor {}", call);
+            prop_assert_eq!(got.ideal.to_bits(), expected.ideal.to_bits(), "ideal at cursor {}", call);
+        }
+    }
+
+    /// A ring's cached channel transmission equals the reference formula
+    /// bit for bit after any sequence of weight programming and parking.
+    #[test]
+    fn cached_channel_transmission_matches_reference_bitwise(
+        ring in (5.0f64..30.0, 2_000.0f64..20_000.0, 0.0f64..1.0),
+        channel_nm in 1_500.0f64..1_600.0,
+        ops in proptest::collection::vec((0u8..4, 0.0f64..1.0), 0..12),
+    ) {
+        let (extinction_ratio_db, quality_factor, insertion_loss_db) = ring;
+        let config = MicroringConfig {
+            extinction_ratio_db,
+            quality_factor,
+            insertion_loss_db,
+            ..MicroringConfig::default()
+        };
+        let mut mr = MicroringResonator::new(config, Wavelength::from_nm(channel_nm)).unwrap();
+        let agrees = |mr: &MicroringResonator| {
+            mr.channel_transmission().to_bits() == mr.transmission_at(mr.channel()).to_bits()
+        };
+        prop_assert!(agrees(&mr), "fresh ring");
+        for (op, weight) in ops {
+            match op {
+                0 => mr.park(),
+                1 => mr.set_weight(1.0).unwrap(),
+                _ => mr.set_weight(weight).unwrap(),
+            }
+            prop_assert!(agrees(&mr), "after op {} with weight {}", op, weight);
+        }
+    }
+
     /// Any representable weight programmed onto an MR yields a transmission
     /// inside [0, 1] and within a small tolerance of the requested weight.
     #[test]
