@@ -83,7 +83,6 @@ impl Backend for ElectronicReference {
         Ok(Box::new(ElectronicLowered {
             plan,
             next_frame: 0,
-            plan_reuse: true,
         }))
     }
 
@@ -120,7 +119,6 @@ impl Backend for ElectronicReference {
 pub struct ElectronicLowered {
     plan: CompiledPlan,
     next_frame: u64,
-    plan_reuse: bool,
 }
 
 impl ElectronicLowered {
@@ -134,18 +132,14 @@ impl ElectronicLowered {
 
 impl LoweredPlan for ElectronicLowered {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.next_frame += 1;
-        if self.plan_reuse {
-            self.plan.record_hits(1);
-        }
+        self.next_frame = self.next_frame.saturating_add(1);
+        self.plan.record_hits(1);
         Self::model_forward(&mut self.plan, input)
     }
 
     fn forward_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.next_frame += inputs.len() as u64;
-        if self.plan_reuse {
-            self.plan.record_hits(inputs.len() as u64);
-        }
+        self.next_frame = self.next_frame.saturating_add(inputs.len() as u64);
+        self.plan.record_hits(inputs.len() as u64);
         inputs
             .iter()
             .map(|input| Self::model_forward(&mut self.plan, input))
@@ -153,10 +147,8 @@ impl LoweredPlan for ElectronicLowered {
     }
 
     fn forward_frame_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.next_frame += 1;
-        if self.plan_reuse {
-            self.plan.record_hits(1);
-        }
+        self.next_frame = self.next_frame.saturating_add(1);
+        self.plan.record_hits(1);
         inputs
             .iter()
             .map(|input| Self::model_forward(&mut self.plan, input))
@@ -177,14 +169,6 @@ impl LoweredPlan for ElectronicLowered {
 
     fn plan_mut(&mut self) -> &mut CompiledPlan {
         &mut self.plan
-    }
-
-    fn plan_reuse(&self) -> bool {
-        self.plan_reuse
-    }
-
-    fn set_plan_reuse(&mut self, enabled: bool) {
-        self.plan_reuse = enabled;
     }
 
     fn clone_box(&self) -> Box<dyn LoweredPlan> {

@@ -44,7 +44,7 @@ fn bench_noise(c: &mut Criterion) {
             NoiseConfig::default().scaled(f64::from(scale))
         };
         group.bench_with_input(
-            BenchmarkId::new("photonic_dot", scale),
+            BenchmarkId::new("mac_unit_dot", scale),
             &noise,
             |b, noise| {
                 let mut unit = PhotonicMacUnit::new(*noise, 3).expect("valid");

@@ -33,13 +33,11 @@
 
 use std::fmt;
 
-use crate::error::{CoreError, Result};
-use crate::exec::{PhotonicAccuracy, PhotonicExecutor};
+use crate::error::Result;
+use crate::exec::PhotonicExecutor;
 use crate::plan::CompiledPlan;
 use crate::platform::{PlatformConfig, Workload};
 use crate::sim::{ArchitectureSimulator, SimulationReport};
-use lightator_nn::datasets::Dataset;
-use lightator_nn::model::Sequential;
 use lightator_nn::quant::PrecisionSchedule;
 use lightator_nn::spec::NetworkSpec;
 use lightator_nn::tensor::Tensor;
@@ -142,12 +140,6 @@ pub trait LoweredPlan: fmt::Debug + Send + Sync {
     /// Mutable access to the compiled plan (hit accounting, tile buffers).
     fn plan_mut(&mut self) -> &mut CompiledPlan;
 
-    /// Whether executions reuse the compiled plan (the default).
-    fn plan_reuse(&self) -> bool;
-
-    /// Switches between plan-cached execution and the per-call-encode path.
-    fn set_plan_reuse(&mut self, enabled: bool);
-
     /// How many workers tile the MAC loops (1 = sequential). Backends
     /// without a tiled execution path report 1.
     fn workers(&self) -> usize {
@@ -159,25 +151,6 @@ pub trait LoweredPlan: fmt::Debug + Send + Sync {
     /// tiled path ignore it.
     fn set_workers(&mut self, workers: usize) {
         let _ = workers;
-    }
-
-    /// Evaluates classify accuracy through this backend's datapath and
-    /// digitally for reference.
-    ///
-    /// # Errors
-    ///
-    /// The default implementation reports that the backend does not
-    /// support accuracy evaluation.
-    fn evaluate(
-        &mut self,
-        model: &mut Sequential,
-        dataset: &Dataset,
-        limit: usize,
-    ) -> Result<PhotonicAccuracy> {
-        let _ = (model, dataset, limit);
-        Err(CoreError::ModelMismatch {
-            reason: "this backend does not implement accuracy evaluation".to_string(),
-        })
     }
 
     /// Clones the lowered plan behind the trait object (keeps `Session`
@@ -339,11 +312,7 @@ impl Backend for PhotonicBackend {
         let mut executor = PhotonicExecutor::new(config.schedule, config.hardware.noise, seed)?;
         executor.set_workers(config.workers);
         let plan = CompiledPlan::compile(workload, &config, seed)?;
-        Ok(Box::new(PhotonicLowered {
-            executor,
-            plan,
-            plan_reuse: true,
-        }))
+        Ok(Box::new(PhotonicLowered { executor, plan }))
     }
 
     fn performance(
@@ -362,53 +331,20 @@ impl Backend for PhotonicBackend {
 pub struct PhotonicLowered {
     executor: PhotonicExecutor,
     plan: CompiledPlan,
-    plan_reuse: bool,
 }
 
 impl LoweredPlan for PhotonicLowered {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        if self.plan_reuse {
-            self.executor.forward_planned(&mut self.plan, input)
-        } else {
-            let model = self
-                .plan
-                .model_mut()
-                .ok_or_else(|| CoreError::ModelMismatch {
-                    reason: "plan lost its lowered model (weighted workloads always carry one)"
-                        .to_string(),
-                })?;
-            self.executor.forward(model, input)
-        }
+        self.executor.forward_planned(&mut self.plan, input)
     }
 
     fn forward_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        if self.plan_reuse {
-            self.executor.forward_batch_planned(&mut self.plan, inputs)
-        } else {
-            let model = self
-                .plan
-                .model_mut()
-                .ok_or_else(|| CoreError::ModelMismatch {
-                    reason: "plan lost its lowered model (weighted workloads always carry one)"
-                        .to_string(),
-                })?;
-            self.executor.forward_batch(model, inputs)
-        }
+        self.executor.forward_batch_planned(&mut self.plan, inputs)
     }
 
     fn forward_frame_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        if self.plan_reuse {
-            self.executor
-                .forward_frame_batch_planned(&mut self.plan, inputs)
-        } else {
-            let model = self
-                .plan
-                .model_mut()
-                .ok_or_else(|| CoreError::ModelMismatch {
-                    reason: "plan lost its tile model (stream plans always carry one)".to_string(),
-                })?;
-            self.executor.forward_frame_batch(model, inputs)
-        }
+        self.executor
+            .forward_frame_batch_planned(&mut self.plan, inputs)
     }
 
     fn next_frame_index(&self) -> u64 {
@@ -427,29 +363,12 @@ impl LoweredPlan for PhotonicLowered {
         &mut self.plan
     }
 
-    fn plan_reuse(&self) -> bool {
-        self.plan_reuse
-    }
-
-    fn set_plan_reuse(&mut self, enabled: bool) {
-        self.plan_reuse = enabled;
-    }
-
     fn workers(&self) -> usize {
         self.executor.workers()
     }
 
     fn set_workers(&mut self, workers: usize) {
         self.executor.set_workers(workers);
-    }
-
-    fn evaluate(
-        &mut self,
-        model: &mut Sequential,
-        dataset: &Dataset,
-        limit: usize,
-    ) -> Result<PhotonicAccuracy> {
-        self.executor.evaluate(model, dataset, limit)
     }
 
     fn clone_box(&self) -> Box<dyn LoweredPlan> {

@@ -35,6 +35,7 @@ pub struct PhotonicMacUnit {
     arm: OpticalArm,
     seed: u64,
     segments_evaluated: u64,
+    row_loads: u64,
     /// Draws executed by worker clones of this unit and added back.
     worker_draws: DrawCounts,
 }
@@ -70,6 +71,7 @@ impl PhotonicMacUnit {
             arm,
             seed,
             segments_evaluated: 0,
+            row_loads: 0,
             worker_draws: DrawCounts::default(),
         })
     }
@@ -103,23 +105,28 @@ impl PhotonicMacUnit {
         self.arm.set_mac_cursor(cursor);
     }
 
-    /// Adds externally evaluated segments (e.g. from worker clones of this
-    /// unit) to the segment counter.
-    pub(crate) fn add_segments_evaluated(&mut self, segments: u64) {
-        self.segments_evaluated += segments;
-    }
-
     /// Number of arm-sized segments evaluated so far (one per optical wave).
     #[must_use]
     pub fn segments_evaluated(&self) -> u64 {
         self.segments_evaluated
     }
 
-    /// Adds draws executed by worker clones of this unit (the difference
-    /// between a clone's [`PhotonicMacUnit::draws`] after and before its
-    /// work) to the draw counters.
-    pub(crate) fn add_draws(&mut self, draws: DrawCounts) {
+    /// Number of weight rows programmed onto the arm so far: one per
+    /// [`PhotonicMacUnit::load_row`] and one per segment of every
+    /// [`PhotonicMacUnit::dot`], including those of worker clones added back
+    /// by the tiled loops.
+    #[must_use]
+    pub fn row_loads(&self) -> u64 {
+        self.row_loads
+    }
+
+    /// Adds the work a clone of this unit executed (the difference between
+    /// the clone's counters after and before its work) to this unit's
+    /// draw, segment and row-load counters.
+    pub(crate) fn add_worker_work(&mut self, draws: DrawCounts, segments: u64, row_loads: u64) {
         self.worker_draws += draws;
+        self.segments_evaluated += segments;
+        self.row_loads += row_loads;
     }
 
     /// Gaussian draws executed so far, per noise channel, including those
@@ -152,6 +159,7 @@ impl PhotonicMacUnit {
     /// a weight is outside `[-1, 1]`.
     pub fn load_row(&mut self, weights: &[f64]) -> Result<()> {
         self.arm.load_weights(weights)?;
+        self.row_loads += 1;
         Ok(())
     }
 
@@ -192,6 +200,7 @@ impl PhotonicMacUnit {
         let mut total = 0.0;
         for (w_chunk, a_chunk) in weights.chunks(segment).zip(activations.chunks(segment)) {
             self.arm.load_weights(w_chunk)?;
+            self.row_loads += 1;
             let out = self.arm.mac(a_chunk)?;
             total += out.value;
             self.segments_evaluated += 1;

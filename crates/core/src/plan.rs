@@ -25,9 +25,10 @@
 //! per shard).
 //!
 //! **Determinism contract.** Encoding draws no analog noise — noise is
-//! sampled only inside the photonic MAC — so a plan-cached execution
-//! consumes the identical frame-indexed noise-draw order as a per-call
-//! encode. Plan reuse is a pure-performance transform: golden kernels,
+//! sampled only inside the photonic MAC — so caching the encoding in the
+//! plan moves no noise draw: a plan-cached execution draws exactly what
+//! re-encoding the weights for every call would. The test suite pins this
+//! against a test-local per-call reference executor, and golden kernels,
 //! stream resume and pooled serving all stay bit-exact.
 //!
 //! ```
@@ -101,9 +102,8 @@ impl EncodedWeights {
 /// Encodes every weighted layer of `model` under `schedule`, indexed by
 /// model layer position (`None` for unweighted layers).
 ///
-/// This is the single weight-encoding pass shared by the compiled-plan
-/// path and the legacy per-call-encode entry points, which is what keeps
-/// the two bit-identical.
+/// This is the single weight-encoding pass: [`CompiledPlan::compile`] runs
+/// it once and every execution reuses its rows.
 #[must_use]
 pub fn encode_model(
     model: &Sequential,
@@ -162,17 +162,22 @@ pub struct PlanStats {
 /// allocates per stride.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanScratch {
-    /// Gathered input patch of one convolution stride.
-    pub(crate) patch: Vec<f32>,
-    /// Quantized VCSEL drive codes of one activation row.
+    /// Quantized VCSEL drive codes of a linear layer's activation vector.
     pub(crate) a_norm: Vec<f64>,
     /// Reusable `block+halo` tile tensors for the streaming path.
     pub(crate) tiles: Vec<Tensor>,
-    /// Per-worker patch buffers for the tiled conv path (grown lazily to
-    /// the executor's worker count, then reused frame after frame).
-    pub(crate) worker_patch: Vec<Vec<f32>>,
-    /// Per-worker activation buffers for the tiled conv path.
-    pub(crate) worker_a_norm: Vec<Vec<f64>>,
+    /// One buffer set per MAC-loop worker (grown lazily to the executor's
+    /// worker count, then reused frame after frame).
+    pub(crate) workers: Vec<WorkerScratch>,
+}
+
+/// The buffers one MAC-loop worker gathers a convolution stride into.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WorkerScratch {
+    /// Gathered input patch of one convolution stride.
+    pub(crate) patch: Vec<f32>,
+    /// Quantized VCSEL drive codes of that patch.
+    pub(crate) a_norm: Vec<f64>,
 }
 
 /// A lowered, ready-to-run workload: CA operator, optical model, encoded
@@ -246,11 +251,12 @@ impl CompiledPlan {
             model,
             encodings,
             scratch: PlanScratch {
-                patch: vec![0.0; widest_row],
                 a_norm: vec![0.0; widest_row],
                 tiles,
-                worker_patch: Vec::new(),
-                worker_a_norm: Vec::new(),
+                workers: vec![WorkerScratch {
+                    patch: vec![0.0; widest_row],
+                    a_norm: vec![0.0; widest_row],
+                }],
             },
             stats: PlanStats {
                 encodes: 1,
@@ -310,9 +316,8 @@ impl CompiledPlan {
         self.stats.cache_hits += hits;
     }
 
-    /// Mutable access to the lowered model (the per-call-encode fallback
-    /// drives the legacy executor entry points with it; out-of-crate
-    /// backends execute it directly).
+    /// Mutable access to the lowered model (out-of-crate backends, such as
+    /// the electronic reference, execute it directly).
     pub fn model_mut(&mut self) -> Option<&mut Sequential> {
         self.model.as_mut()
     }
@@ -458,8 +463,9 @@ mod tests {
             .expect("plan");
         assert_eq!(plan.encoded_layer_count(), 2);
         // Scratch is sized for the widest row (the 64-feature linear).
-        assert_eq!(plan.scratch.patch.len(), 64);
         assert_eq!(plan.scratch.a_norm.len(), 64);
+        assert_eq!(plan.scratch.workers[0].patch.len(), 64);
+        assert_eq!(plan.scratch.workers[0].a_norm.len(), 64);
         assert_eq!(plan.schedule(), config.schedule);
     }
 

@@ -174,7 +174,7 @@ pub(crate) fn acquisition_outcome(input: &Tensor) -> Outcome {
 }
 
 /// Builds a filtered outcome from an already-computed frame tensor (the
-/// single definition shared by the planned and per-call-encode paths).
+/// single definition shared by `Session::run` and `Session::run_batch`).
 pub(crate) fn filtered_from(filtered: &Tensor, kernel: &str) -> Outcome {
     Outcome::Filtered {
         kernel: kernel.to_string(),

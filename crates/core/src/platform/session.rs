@@ -5,12 +5,10 @@
 //! [`CompiledPlan`] — the pre-encoded MR weight bank, the CA operator and
 //! preallocated scratch buffers — and every execution entry point
 //! ([`Session::run`], [`Session::run_batch`], [`Session::run_stream`],
-//! [`Session::resume_stream`]) reuses that plan instead of re-encoding the
-//! quantized weights per call. Plan reuse is a pure-performance transform:
-//! encoding draws no analog noise, so plan-cached execution consumes the
-//! identical frame-indexed noise-draw order as the per-call-encode path
-//! (switchable for differential testing via [`Session::set_plan_reuse`])
-//! and stays bit-exact.
+//! [`Session::resume_stream`], [`Session::evaluate`]) executes through that
+//! plan instead of re-encoding the quantized weights per call. Encoding
+//! draws no analog noise, so the plan moves no noise draw: every frame's
+//! output is a pure function of the seed, the frame index and the input.
 
 use crate::backend::{BackendId, LoweredPlan};
 use crate::error::{CoreError, Result};
@@ -203,25 +201,6 @@ impl Session {
         self.lowered.plan().stats()
     }
 
-    /// Whether executions reuse the compiled plan (the default).
-    #[must_use]
-    pub fn plan_reuse(&self) -> bool {
-        self.lowered.plan_reuse()
-    }
-
-    /// Switches between plan-cached execution (the default) and the
-    /// per-call-encode path that re-encodes the quantized MR weights on
-    /// every call.
-    ///
-    /// Both paths are **bit-identical** — weight encoding draws no analog
-    /// noise, so the frame-indexed noise-draw order is unchanged. The
-    /// switch exists for differential testing (the property suite asserts
-    /// the equivalence) and for benchmarking the reuse win
-    /// (`cargo bench -p lightator-bench --bench plan_reuse`).
-    pub fn set_plan_reuse(&mut self, enabled: bool) {
-        self.lowered.set_plan_reuse(enabled);
-    }
-
     /// How many workers tile the MAC loops (1 = sequential).
     #[must_use]
     pub fn workers(&self) -> usize {
@@ -301,7 +280,7 @@ impl Session {
         // One frame, one index — success or failure. (Failures can bail
         // out before the executor advances, e.g. on a sensor error or a
         // model mismatch.)
-        self.lowered.set_next_frame_index(index + 1);
+        self.lowered.set_next_frame_index(index.saturating_add(1));
         if let Some(before) = stats_before {
             self.trace_frames(index, 1, before, result.is_ok());
         }
@@ -333,9 +312,7 @@ impl Session {
             FrameStep::Acquire => {
                 // Acquisition runs through the plan's cached CA operator;
                 // count the reuse even though no weight bank is involved.
-                if self.lowered.plan_reuse() {
-                    self.lowered.plan_mut().record_hits(1);
-                }
+                self.lowered.plan_mut().record_hits(1);
                 acquisition_outcome(&input)
             }
             FrameStep::Kernel(name) => {
@@ -372,7 +349,7 @@ impl Session {
         let stats_before = self.tracer.as_ref().map(|_| self.lowered.plan().stats());
         let result = self.run_batch_inner(scenes);
         self.lowered
-            .set_next_frame_index(index + scenes.len() as u64);
+            .set_next_frame_index(index.saturating_add(scenes.len() as u64));
         if let Some(before) = stats_before {
             self.trace_frames(index, scenes.len(), before, result.is_ok());
         }
@@ -407,9 +384,7 @@ impl Session {
             FrameStep::Acquire => {
                 // Acquisition runs through the plan's cached CA operator;
                 // count the reuse even though no weight bank is involved.
-                if self.lowered.plan_reuse() {
-                    self.lowered.plan_mut().record_hits(inputs.len() as u64);
-                }
+                self.lowered.plan_mut().record_hits(inputs.len() as u64);
                 inputs.iter().map(acquisition_outcome).collect()
             }
             FrameStep::Kernel(name) => {
@@ -450,7 +425,7 @@ impl Session {
                 let dur = perf.frame_latency.ns();
                 tracer.sink.record(
                     TraceEvent::span("frame", label, &track, start, dur, perf.frame_energy.pj())
-                        .with_arg("frame", first_index + offset as u64),
+                        .with_arg("frame", first_index.saturating_add(offset as u64)),
                 );
                 let mut cursor = start;
                 for stage in &stages {
@@ -470,7 +445,7 @@ impl Session {
             for offset in 0..count {
                 tracer.sink.record(
                     TraceEvent::instant("frame", "frame-error", &track, tracer.now_ns)
-                        .with_arg("frame", first_index + offset as u64),
+                        .with_arg("frame", first_index.saturating_add(offset as u64)),
                 );
             }
         }
@@ -704,7 +679,7 @@ impl Session {
             let result = self.stream_frame(frame.borrow(), index);
             // One frame, one index — success or failure, however many
             // block tiles the gate actually computed.
-            self.lowered.set_next_frame_index(index + 1);
+            self.lowered.set_next_frame_index(index.saturating_add(1));
             let frame = match result {
                 Ok(frame) => frame,
                 Err(err) => {
@@ -888,26 +863,50 @@ impl Session {
         }
     }
 
-    /// Evaluates the classify workload's accuracy on a dataset split,
-    /// through the photonic datapath and digitally for reference.
+    /// Evaluates the classify workload's accuracy on at most `limit` test
+    /// samples of a dataset split: through this session's compiled plan
+    /// (one frame index and one cache hit per sample, like
+    /// [`Session::run`]) and digitally on the workload's model for
+    /// reference.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ModelMismatch`] for non-classify workloads and
-    /// propagates photonic errors.
+    /// Returns [`CoreError::ModelMismatch`] for non-classify workloads or a
+    /// sample whose shape does not match the model, and propagates
+    /// backend errors.
     pub fn evaluate(&mut self, dataset: &Dataset, limit: usize) -> Result<PhotonicAccuracy> {
         let Self {
             lowered, workload, ..
         } = self;
-        match workload {
-            Workload::Classify { model } => lowered.evaluate(model, dataset, limit),
-            other => Err(CoreError::ModelMismatch {
+        let Workload::Classify { model } = workload else {
+            return Err(CoreError::ModelMismatch {
                 reason: format!(
                     "accuracy evaluation needs a classify workload, not `{}`",
-                    other.label()
+                    workload.label()
                 ),
-            }),
+            });
+        };
+        let mut total = 0usize;
+        let mut photonic_correct = 0usize;
+        let mut digital_correct = 0usize;
+        for sample in dataset.test().iter().take(limit.max(1)) {
+            total += 1;
+            let logits = lowered.forward(&sample.input)?;
+            let class = logits.argmax().ok_or(CoreError::ModelMismatch {
+                reason: "model produced an empty logit vector".to_string(),
+            })?;
+            if class == sample.label {
+                photonic_correct += 1;
+            }
+            if model.predict(&sample.input)? == sample.label {
+                digital_correct += 1;
+            }
         }
+        Ok(PhotonicAccuracy {
+            photonic: photonic_correct as f64 / total.max(1) as f64,
+            digital: digital_correct as f64 / total.max(1) as f64,
+            samples: total,
+        })
     }
 }
 
@@ -1183,43 +1182,6 @@ mod tests {
         let stats = session.plan_stats();
         assert_eq!(stats.encodes, 1, "steady state never re-encodes");
         assert_eq!(stats.cache_hits, 7, "3 runs + 4 batched frames");
-        assert!(session.plan_reuse());
-    }
-
-    #[test]
-    fn run_is_bit_identical_with_and_without_plan_reuse() {
-        // Regression for the plan refactor: `Session::run` now goes through
-        // the cached plan; it must reproduce the per-call-encode path bit
-        // for bit, analog noise included.
-        let platform = Platform::builder()
-            .sensor_resolution(8, 8)
-            .build()
-            .expect("noisy platform");
-        let scenes: Vec<RgbFrame> = (0..3)
-            .map(|i| RgbFrame::filled(8, 8, [0.1 + 0.25 * f64::from(i), 0.5, 0.8]).expect("ok"))
-            .collect();
-        for workload in [
-            Workload::Classify {
-                model: tiny_model([1, 4, 4], 3),
-            },
-            Workload::ImageKernel {
-                kernel: ImageKernel::Laplacian,
-            },
-            Workload::Acquire,
-        ] {
-            let mut planned = platform.session(workload.clone()).expect("session");
-            let mut unplanned = platform.session(workload).expect("session");
-            unplanned.set_plan_reuse(false);
-            assert!(!unplanned.plan_reuse());
-            for scene in &scenes {
-                assert_eq!(
-                    planned.run(scene).expect("ok"),
-                    unplanned.run(scene).expect("ok"),
-                    "plan-cached run diverged from per-call encode"
-                );
-            }
-            assert_eq!(unplanned.plan_stats().cache_hits, 0);
-        }
     }
 
     #[test]

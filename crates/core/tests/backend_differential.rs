@@ -5,9 +5,9 @@
 //! only differences between them are the photonic datapath's weight and
 //! activation quantization (`[4:4]` MR transmissions and VCSEL drive
 //! codes versus exact fp32 arithmetic). The test pins that property for
-//! all seven image kernels and for classify logits, with plan reuse both
-//! on and off — photonic-vs-electronic agreement is a checked invariant
-//! of the backend abstraction, not a hand-maintained table.
+//! all seven image kernels and for classify logits — photonic-vs-electronic
+//! agreement is a checked invariant of the backend abstraction, not a
+//! hand-maintained table.
 //!
 //! [`CompiledPlan`]: lightator_core::plan::CompiledPlan
 
@@ -71,8 +71,7 @@ fn electronic_id() -> BackendId {
     BackendId::new("electronic:eyeriss")
 }
 
-fn run_frame(session: &mut Session, reuse: bool) -> Vec<f32> {
-    session.set_plan_reuse(reuse);
+fn run_frame(session: &mut Session) -> Vec<f32> {
     let report = session.run(&scene()).expect("frame");
     match report.frame() {
         Some((_, data)) => data.to_vec(),
@@ -96,20 +95,18 @@ fn all_image_kernels_agree_across_backends() {
     for kernel in ImageKernel::ALL {
         let workload = Workload::ImageKernel { kernel };
         let l1: f32 = kernel.coefficients().iter().map(|c| c.abs()).sum();
-        for reuse in [true, false] {
-            let mut photonic = platform.session(workload.clone()).expect("photonic");
-            let mut electronic = platform
-                .session_on(workload.clone(), &electronic_id())
-                .expect("electronic");
-            let p = run_frame(&mut photonic, reuse);
-            let e = run_frame(&mut electronic, reuse);
-            assert_close(
-                &format!("kernel {} (reuse={reuse})", kernel.name()),
-                &p,
-                &e,
-                TOLERANCE_PER_L1 * l1,
-            );
-        }
+        let mut photonic = platform.session(workload.clone()).expect("photonic");
+        let mut electronic = platform
+            .session_on(workload, &electronic_id())
+            .expect("electronic");
+        let p = run_frame(&mut photonic);
+        let e = run_frame(&mut electronic);
+        assert_close(
+            &format!("kernel {}", kernel.name()),
+            &p,
+            &e,
+            TOLERANCE_PER_L1 * l1,
+        );
     }
 }
 
@@ -126,16 +123,14 @@ fn classify_logits_agree_across_backends() {
     model.push(Linear::new(8, 4, &mut rng).expect("head"));
     let workload = Workload::Classify { model };
 
-    for reuse in [true, false] {
-        let mut photonic = platform.session(workload.clone()).expect("photonic");
-        let mut electronic = platform
-            .session_on(workload.clone(), &electronic_id())
-            .expect("electronic");
-        let p = run_frame(&mut photonic, reuse);
-        let e = run_frame(&mut electronic, reuse);
-        assert_eq!(p.len(), 4);
-        assert_close(&format!("logits (reuse={reuse})"), &p, &e, LOGIT_TOLERANCE);
-    }
+    let mut photonic = platform.session(workload.clone()).expect("photonic");
+    let mut electronic = platform
+        .session_on(workload, &electronic_id())
+        .expect("electronic");
+    let p = run_frame(&mut photonic);
+    let e = run_frame(&mut electronic);
+    assert_eq!(p.len(), 4);
+    assert_close("logits", &p, &e, LOGIT_TOLERANCE);
 }
 
 #[test]
@@ -156,4 +151,43 @@ fn electronic_sessions_report_the_electronic_cost_model() {
     // optical core's figure, so the two cost models must differ.
     assert_eq!(e.max_power().watts(), 0.278);
     assert!((e.max_power().watts() - p.max_power().watts()).abs() > 1e-6);
+}
+
+/// Regression: the session layer advanced its frame index with plain `+`,
+/// so a session seeked to the last representable frame panicked on `run`
+/// (and at `u64::MAX - 1` on a `run_batch` of 3) in debug builds. Every
+/// backend now saturates: the session stays at `u64::MAX` and keeps
+/// replaying that frame's stream.
+#[test]
+fn sessions_saturate_at_the_last_frame_index_on_every_backend() {
+    let platform = Platform::builder()
+        .sensor_resolution(SENSOR, SENSOR)
+        .register_backend(Arc::new(ElectronicReference::new(
+            ElectronicBaseline::eyeriss(),
+        )))
+        .build()
+        .expect("noisy platform");
+    let workload = Workload::ImageKernel {
+        kernel: ImageKernel::Laplacian,
+    };
+    for backend in [BackendId::photonic(), electronic_id()] {
+        let mut session = platform
+            .session_on(workload.clone(), &backend)
+            .expect("session");
+        session.seek_frame(u64::MAX);
+        let first = run_frame(&mut session);
+        assert_eq!(session.next_frame_index(), u64::MAX, "{backend}");
+        let second = run_frame(&mut session);
+        assert_eq!(session.next_frame_index(), u64::MAX, "{backend}");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&first), bits(&second), "{backend}: replay diverged");
+
+        session.seek_frame(u64::MAX - 1);
+        let reports = session
+            .run_batch(&[scene(), scene(), scene()])
+            .expect("batch");
+        assert_eq!(session.next_frame_index(), u64::MAX, "{backend}");
+        let (_, last) = reports[2].frame().expect("filtered frame");
+        assert_eq!(bits(last), bits(&first), "{backend}: saturated batch frame");
+    }
 }

@@ -1,16 +1,20 @@
 //! The compiled-plan determinism contract, property-tested with the
 //! paper's **analog noise enabled**: plan-cached execution is bit-exactly
-//! equal to per-call-encode execution for every workload, across batch
-//! sizes and stream split points.
+//! equal to a per-call-encode reference for every workload, across batch
+//! sizes, worker counts and stream split points.
 //!
 //! Weight encoding draws no analog noise (noise is sampled only inside the
 //! photonic MAC), so caching the encoding in a `CompiledPlan` must not
 //! move a single noise draw. These properties pin that contract at both
-//! the executor level (`forward*` vs `forward*_planned`) and the session
-//! level (`set_plan_reuse(false)` replays the seed's per-call path).
+//! the executor level (`forward*_planned`) and the session level
+//! (`run`/`run_batch` on the session's own acquired tensors and lowered
+//! model) against the test-local [`ReferenceExecutor`], which re-encodes
+//! the weights on every call.
+
+mod reference;
 
 use lightator_core::plan::CompiledPlan;
-use lightator_core::platform::{ImageKernel, Platform, Workload};
+use lightator_core::platform::{ImageKernel, Platform, Report, Session, Workload};
 use lightator_core::stream::StreamConfig;
 use lightator_core::PhotonicExecutor;
 use lightator_nn::layers::{Activation, Conv2d, Flatten, Linear};
@@ -20,6 +24,7 @@ use lightator_sensor::frame::RgbFrame;
 use proptest::proptest;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reference::ReferenceExecutor;
 
 const SENSOR: usize = 8;
 
@@ -29,6 +34,13 @@ fn noisy_platform() -> Platform {
         .sensor_resolution(SENSOR, SENSOR)
         .build()
         .expect("platform")
+}
+
+/// The reference a session of `platform` must match: same schedule, same
+/// noise, same seed, starting at frame 0.
+fn reference_for(platform: &Platform) -> ReferenceExecutor {
+    let config = platform.config();
+    ReferenceExecutor::new(config.schedule, config.hardware.noise, config.seed)
 }
 
 /// A classify model with a conv and two linears, so both weighted layer
@@ -66,9 +78,58 @@ fn stream_scenes(count: usize) -> Vec<RgbFrame> {
         .collect()
 }
 
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The numbers a report carries: logits, or the acquired/filtered frame.
+fn output_bits(report: &Report) -> Vec<u32> {
+    match report.logits() {
+        Some(logits) => bits(logits),
+        None => bits(report.frame().expect("frame outcome").1),
+    }
+}
+
+/// Runs `frames` through `session` as one batch and then one frame at a
+/// time, and checks every report against the reference executing the
+/// session's own acquired tensor on a copy of its lowered model (or, for
+/// acquisition-only plans, against the acquired tensor itself).
+fn assert_session_matches_reference(
+    session: &mut Session,
+    platform: &Platform,
+    frames: &[RgbFrame],
+) {
+    let mut reference = reference_for(platform);
+    let mut model = session.plan().model().cloned();
+    let mut reports = session.run_batch(frames).expect("batch");
+    // And frame by frame from the post-batch stream position.
+    for frame in frames {
+        reports.push(session.run(frame).expect("run"));
+    }
+    for (report, frame) in reports.iter().zip(frames.iter().chain(frames)) {
+        let input = session.acquire(frame).expect("acquire");
+        let expected = match model.as_mut() {
+            Some(model) => reference.forward(model, &input),
+            None => input,
+        };
+        assert_eq!(
+            output_bits(report),
+            bits(expected.data()),
+            "{} diverged from the per-call reference",
+            report.workload
+        );
+        if let Some(class) = report.class() {
+            assert_eq!(Some(class), expected.argmax());
+        }
+    }
+    if model.is_some() {
+        assert_eq!(session.next_frame_index(), reference.next_frame_index());
+    }
+}
+
 proptest! {
     /// Executor level: the planned entry points reuse the pre-encoded
-    /// weight bank yet reproduce the per-call-encode entry points bit for
+    /// weight bank yet reproduce the per-call-encode reference bit for
     /// bit — same noise draws, same frame indices.
     #[test]
     fn planned_executor_paths_match_per_call_encode(
@@ -95,46 +156,51 @@ proptest! {
             })
             .collect();
 
-        let mut reference =
-            PhotonicExecutor::new(schedule, noise, noise_seed).expect("executor");
+        let mut reference = ReferenceExecutor::new(schedule, noise, noise_seed);
         let mut planned =
             PhotonicExecutor::new(schedule, noise, noise_seed).expect("executor");
 
-        // forward vs forward_planned, one frame at a time.
+        // forward_planned, one frame at a time.
         for input in &inputs {
-            let expected = reference.forward(&mut model, input).expect("forward");
+            let expected = reference.forward(&mut model, input);
             let got = planned.forward_planned(&mut plan, input).expect("planned");
-            assert_eq!(expected.data(), got.data(), "forward_planned diverged");
+            assert_eq!(bits(expected.data()), bits(got.data()), "forward_planned diverged");
         }
         assert_eq!(reference.next_frame_index(), planned.next_frame_index());
 
-        // forward_batch vs forward_batch_planned.
-        let expected = reference.forward_batch(&mut model, &inputs).expect("batch");
+        // forward_batch_planned: one frame per input.
         let got = planned
             .forward_batch_planned(&mut plan, &inputs)
             .expect("planned batch");
-        for (a, b) in expected.iter().zip(&got) {
-            assert_eq!(a.data(), b.data(), "forward_batch_planned diverged");
+        for (input, b) in inputs.iter().zip(&got) {
+            let expected = reference.forward(&mut model, input);
+            assert_eq!(bits(expected.data()), bits(b.data()), "forward_batch_planned diverged");
         }
 
-        // forward_frame_batch vs forward_frame_batch_planned (one frame's
-        // noise stream shared by all inputs).
-        let expected = reference
-            .forward_frame_batch(&mut model, &inputs)
-            .expect("frame batch");
+        // forward_frame_batch_planned (one frame's noise stream shared by
+        // all inputs).
+        let expected = reference.forward_frame_batch(&mut model, &inputs);
         let got = planned
             .forward_frame_batch_planned(&mut plan, &inputs)
             .expect("planned frame batch");
         for (a, b) in expected.iter().zip(&got) {
-            assert_eq!(a.data(), b.data(), "forward_frame_batch_planned diverged");
+            assert_eq!(bits(a.data()), bits(b.data()), "forward_frame_batch_planned diverged");
         }
         assert_eq!(reference.next_frame_index(), planned.next_frame_index());
+
+        // A seeked executor replays any frame of the reference's stream.
+        planned.set_next_frame_index(1);
+        reference.set_next_frame_index(1);
+        let got = planned.forward_planned(&mut plan, &inputs[0]).expect("seeked");
+        let expected = reference.forward(&mut model, &inputs[0]);
+        assert_eq!(bits(expected.data()), bits(got.data()), "seeked frame diverged");
     }
 }
 
 proptest! {
     /// Session level, classify: plan-cached `run`/`run_batch` equal the
-    /// per-call-encode path bit for bit across batch sizes (0 included).
+    /// per-call-encode reference bit for bit across batch sizes (0
+    /// included).
     #[test]
     fn classify_sessions_match_across_plan_modes(
         batch in 0usize..6,
@@ -142,32 +208,16 @@ proptest! {
     ) {
         let platform = noisy_platform();
         let frames = scenes(batch, scene_seed);
-        let workload = || Workload::Classify { model: conv_classifier(7) };
-
-        let mut cached = platform.session(workload()).expect("session");
-        let mut per_call = platform.session(workload()).expect("session");
-        per_call.set_plan_reuse(false);
-
-        assert_eq!(
-            cached.run_batch(&frames).expect("cached batch"),
-            per_call.run_batch(&frames).expect("per-call batch"),
-            "plan-cached run_batch diverged"
-        );
-        // And frame by frame from the post-batch stream position.
-        for frame in &frames {
-            assert_eq!(
-                cached.run(frame).expect("cached run"),
-                per_call.run(frame).expect("per-call run"),
-                "plan-cached run diverged"
-            );
-        }
-        assert_eq!(cached.next_frame_index(), per_call.next_frame_index());
+        let mut session = platform
+            .session(Workload::Classify { model: conv_classifier(7) })
+            .expect("session");
+        assert_session_matches_reference(&mut session, &platform, &frames);
     }
 }
 
 proptest! {
-    /// Session level, acquire + every image kernel: identical outcomes with
-    /// and without plan reuse for any batch size.
+    /// Session level, acquire + every image kernel: identical outcomes to
+    /// the per-call-encode reference for any batch size.
     #[test]
     fn acquire_and_kernel_sessions_match_across_plan_modes(
         kernel_index in 0usize..7,
@@ -180,21 +230,8 @@ proptest! {
             Workload::Acquire,
             Workload::ImageKernel { kernel: ImageKernel::ALL[kernel_index] },
         ] {
-            let mut cached = platform.session(workload.clone()).expect("session");
-            let mut per_call = platform.session(workload).expect("session");
-            per_call.set_plan_reuse(false);
-            assert_eq!(
-                cached.run_batch(&frames).expect("cached"),
-                per_call.run_batch(&frames).expect("per-call"),
-                "batch diverged"
-            );
-            for frame in &frames {
-                assert_eq!(
-                    cached.run(frame).expect("cached"),
-                    per_call.run(frame).expect("per-call"),
-                    "single frame diverged"
-                );
-            }
+            let mut session = platform.session(workload).expect("session");
+            assert_session_matches_reference(&mut session, &platform, &frames);
         }
     }
 }
@@ -276,14 +313,14 @@ proptest! {
 }
 
 proptest! {
-    /// Session level, video streams: plan-cached streaming equals the
-    /// per-call-encode stream bit for bit, and a tail resumed at any split
-    /// point — in either plan mode — replays the cached full run exactly.
+    /// Session level, video streams: a tail resumed at any split point on
+    /// a fresh session replays the full run exactly. (The tile path itself
+    /// is pinned against the reference by `forward_frame_batch_planned`
+    /// above.)
     #[test]
     fn video_streams_match_across_plan_modes_and_split_points(
         frame_count in 2usize..7,
         split in 1usize..6,
-        resume_cached in proptest::bool::ANY,
     ) {
         proptest::prop_assume!(split < frame_count);
         let platform = Platform::builder()
@@ -296,23 +333,14 @@ proptest! {
         };
         let frames = stream_scenes(frame_count);
 
-        let mut cached = platform.session(workload()).expect("session");
-        let full = cached.run_stream(&frames).expect("cached stream");
+        let mut session = platform.session(workload()).expect("session");
+        let full = session.run_stream(&frames).expect("stream");
 
-        let mut per_call = platform.session(workload()).expect("session");
-        per_call.set_plan_reuse(false);
-        let per_call_full = per_call.run_stream(&frames).expect("per-call stream");
-        assert_eq!(
-            full.frames, per_call_full.frames,
-            "plan-cached stream diverged from per-call encode"
-        );
-
-        // Replay the tail from `split` on a fresh session in either mode.
+        // Replay the tail from `split` on a fresh session.
         let mut prefix = platform.session(workload()).expect("session");
         prefix.run_stream(&frames[..split]).expect("prefix");
         let state = prefix.stream_state().expect("state");
         let mut tail_session = platform.session(workload()).expect("session");
-        tail_session.set_plan_reuse(resume_cached);
         tail_session.seek_frame(split as u64);
         let tail = tail_session
             .resume_stream(state, &frames[split..])
@@ -320,7 +348,7 @@ proptest! {
         assert_eq!(
             tail.frames,
             full.frames[split..],
-            "resumed tail diverged from the full cached run"
+            "resumed tail diverged from the full run"
         );
     }
 }

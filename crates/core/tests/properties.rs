@@ -89,7 +89,7 @@ proptest! {
     /// The photonic MAC unit stays within a bounded error of the exact dot
     /// product for ideal optics, regardless of vector length.
     #[test]
-    fn photonic_dot_bounded_error(
+    fn mac_unit_dot_bounded_error(
         pairs in proptest::collection::vec((-1.0f64..1.0, 0.0f64..1.0), 1..40),
         seed in 0u64..500,
     ) {
