@@ -35,12 +35,14 @@ use std::fmt;
 
 use crate::error::Result;
 use crate::exec::PhotonicExecutor;
+use crate::oc::PhotonicMacUnit;
 use crate::plan::CompiledPlan;
 use crate::platform::{PlatformConfig, Workload};
 use crate::sim::{ArchitectureSimulator, SimulationReport};
 use lightator_nn::quant::PrecisionSchedule;
 use lightator_nn::spec::NetworkSpec;
 use lightator_nn::tensor::Tensor;
+use lightator_photonics::arm::ArmConfig;
 
 /// Identifier of one execution backend (`"photonic"`,
 /// `"electronic:eyeriss"`, `"roofline:lightbulb"`, ...).
@@ -309,7 +311,16 @@ impl Backend for PhotonicBackend {
         seed: u64,
     ) -> Result<Box<dyn LoweredPlan>> {
         let config = self.effective(config);
-        let mut executor = PhotonicExecutor::new(config.schedule, config.hardware.noise, seed)?;
+        // The functional arm is as wide as the mapped one.
+        let unit = PhotonicMacUnit::with_arm_config(
+            ArmConfig {
+                channels: config.hardware.geometry.mrs_per_arm,
+                noise: config.hardware.noise,
+                ..ArmConfig::default()
+            },
+            seed,
+        )?;
+        let mut executor = PhotonicExecutor::with_unit(config.schedule, unit);
         executor.set_workers(config.workers);
         let plan = CompiledPlan::compile(workload, &config, seed)?;
         Ok(Box::new(PhotonicLowered { executor, plan }))

@@ -8,12 +8,13 @@ use serde::{Deserialize, Serialize};
 
 /// Geometry of the optical core's MVM banks.
 ///
-/// The paper's design (§4): 9 MRs per arm (one 3×3 kernel stride), 6 arms per
-/// bank, 96 banks arranged as 8 columns × 12 rows — 5184 MRs in total, hence
-/// at most 5184 MAC operations per optical cycle.
+/// The paper's design (§4): `mrs_per_arm` (9 in the paper, one 3×3 kernel
+/// stride), 6 arms per bank, 96 banks arranged as 8 columns × 12 rows — 5184
+/// MRs in total, hence at most 5184 MAC operations per optical cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OcGeometry {
-    /// MRs per arm.
+    /// MRs per arm, each with its own wavelength and VCSEL. The mapper, the
+    /// functional executor and the energy model all read the arm from here.
     pub mrs_per_arm: usize,
     /// Arms per bank.
     pub arms_per_bank: usize,
@@ -120,8 +121,6 @@ pub struct PeripheryCounts {
     pub dacs_per_arm: usize,
     /// Read-out ADCs per bank.
     pub adcs_per_bank: usize,
-    /// VCSELs per arm (one per wavelength).
-    pub vcsels_per_arm: usize,
     /// CRC units active during first-layer acquisition (shared across pixel
     /// columns).
     pub crc_units: usize,
@@ -136,7 +135,6 @@ impl Default for PeripheryCounts {
         Self {
             dacs_per_arm: 1,
             adcs_per_bank: 1,
-            vcsels_per_arm: 9,
             crc_units: 256,
             weight_sram_kib: 256,
             activation_sram_kib: 128,
@@ -147,9 +145,6 @@ impl Default for PeripheryCounts {
 /// Timing parameters of the platform.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TimingConfig {
-    /// Electronic cycles needed to rewrite the weights of one bank (54 MRs)
-    /// through its DACs.
-    pub weight_reload_cycles_per_bank: usize,
     /// Electronic cycles of post-processing (activation function, buffering)
     /// per 1024 output activations.
     pub electronic_post_cycles_per_kilo_output: usize,
@@ -160,7 +155,6 @@ pub struct TimingConfig {
 impl Default for TimingConfig {
     fn default() -> Self {
         Self {
-            weight_reload_cycles_per_bank: 54,
             electronic_post_cycles_per_kilo_output: 64,
             optical_cycles_per_wave: 1,
         }
@@ -180,8 +174,6 @@ pub struct LightatorConfig {
     pub noise: NoiseConfig,
     /// Timing parameters.
     pub timing: TimingConfig,
-    /// Whether the compressive acquisitor pre-compresses input frames.
-    pub use_compressive_acquisition: bool,
     /// Total die area budget (used only for reporting / comparisons).
     pub area: Area,
 }
@@ -194,7 +186,6 @@ impl Default for LightatorConfig {
             power: DevicePowerTable::node_45nm(),
             noise: NoiseConfig::default(),
             timing: TimingConfig::default(),
-            use_compressive_acquisition: true,
             area: Area::from_mm2(28.0),
         }
     }
@@ -211,17 +202,10 @@ impl LightatorConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for invalid geometry or zero
-    /// periphery counts that the simulator divides by.
+    /// Returns [`CoreError::InvalidConfig`] for an invalid geometry, a zero
+    /// wave length in optical cycles or a non-positive area.
     pub fn validate(&self) -> Result<()> {
         self.geometry.validate()?;
-        if self.periphery.vcsels_per_arm == 0 {
-            return Err(CoreError::invalid_config(
-                "vcsels_per_arm",
-                0.0,
-                "each arm needs at least one VCSEL to drive activations into its MRs",
-            ));
-        }
         if self.timing.optical_cycles_per_wave == 0 {
             return Err(CoreError::invalid_config(
                 "optical_cycles_per_wave",
@@ -276,9 +260,6 @@ mod tests {
 
     #[test]
     fn config_validation_catches_bad_values() {
-        let mut cfg = LightatorConfig::default();
-        cfg.periphery.vcsels_per_arm = 0;
-        assert!(cfg.validate().is_err());
         let cfg = LightatorConfig {
             area: Area::from_mm2(0.0),
             ..LightatorConfig::default()

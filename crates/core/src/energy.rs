@@ -196,9 +196,10 @@ impl EnergyModel {
         // MR tuning power for every ring that currently holds a weight.
         let tuning = table.mr_tuning_power() * mrs_active_per_cycle as f64;
 
-        // DMVA: VCSELs + drivers for every active wavelength; the CRC ladder
-        // only burns power while the pixel array is being read (first layer).
-        let vcsels = table.vcsel_power() * (arms_active * periphery.vcsels_per_arm) as f64;
+        // DMVA: VCSELs + drivers for every active wavelength, one per MR of
+        // an active arm; the CRC ladder only burns power while the pixel
+        // array is being read (first layer).
+        let vcsels = table.vcsel_power() * (arms_active * geometry.mrs_per_arm) as f64;
         let crc = if is_first_layer {
             table.crc_power() * periphery.crc_units as f64
         } else {
@@ -257,8 +258,7 @@ impl EnergyModel {
     pub fn area(&self) -> Area {
         let geometry = &self.config.geometry;
         let mr_area = Area::from_um2(20.0 * 20.0) * geometry.mrs() as f64;
-        let vcsel_area = Area::from_um2(15.0 * 15.0)
-            * (geometry.arms() * self.config.periphery.vcsels_per_arm) as f64;
+        let vcsel_area = Area::from_um2(15.0 * 15.0) * geometry.mrs() as f64;
         let bpd_area = Area::from_um2(12.0 * 12.0) * geometry.arms() as f64;
         let weight_sram = SramModel::new(self.config.periphery.weight_sram_kib, 8, &self.config);
         let activation_sram =

@@ -244,18 +244,25 @@ where
 
 impl PhotonicExecutor {
     /// Creates an executor with the given precision schedule and analog
-    /// noise configuration.
+    /// noise configuration, on the default arm of [`PhotonicMacUnit::new`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Photonics`] if the arm configuration is invalid.
     pub fn new(schedule: PrecisionSchedule, noise: NoiseConfig, seed: u64) -> Result<Self> {
-        Ok(Self {
-            mac_unit: PhotonicMacUnit::new(noise, seed)?,
+        let mac_unit = PhotonicMacUnit::new(noise, seed)?;
+        Ok(Self::with_unit(schedule, mac_unit))
+    }
+
+    /// Creates an executor that runs on `mac_unit`, whose arm width sets the
+    /// segment length of every dot product.
+    pub(crate) fn with_unit(schedule: PrecisionSchedule, mac_unit: PhotonicMacUnit) -> Self {
+        Self {
+            mac_unit,
             schedule,
             next_frame: 0,
             workers: default_workers(),
-        })
+        }
     }
 
     /// Number of worker threads the hot MAC loops tile across
@@ -427,17 +434,14 @@ impl PhotonicExecutor {
         let k = conv.kernel();
         let activation_scale = input.data().iter().fold(0.0f32, |m, &x| m.max(x.max(0.0)));
         let mut out = Tensor::zeros(&out_shape);
-        let row_len = in_c * k * k;
-        // Kernels that fit one arm run weight-stationary: the row is
-        // programmed once per output channel (per worker chunk) and every
-        // stride streams against it. Wider kernels fall back to the
-        // segmented dot.
-        let weight_stationary = row_len <= self.mac_unit.segment_length();
-        let calls_per_item = if weight_stationary {
-            1
-        } else {
-            row_len.div_ceil(self.mac_unit.segment_length()) as u64
-        };
+        let kernel_len = k * k;
+        let row_len = in_c * kernel_len;
+        // Each input channel's kernel takes ⌈k²/mrs_per_arm⌉ arm segments of
+        // its own, as the mapper charges it. A one-segment row runs
+        // weight-stationary: it is programmed once per output channel (per
+        // worker chunk) and every stride streams against it.
+        let calls_per_item = (in_c * kernel_len.div_ceil(self.mac_unit.segment_length())) as u64;
+        let weight_stationary = calls_per_item == 1;
         let weight_scale = f64::from(encoded.weight_scale);
         let bias = conv.bias().data();
         let rows = &encoded.rows;
@@ -469,7 +473,12 @@ impl PhotonicExecutor {
                         }
                         unit.mac_loaded(a_norm)?
                     } else {
-                        unit.dot(&rows[oc], a_norm)?
+                        let mut total = 0.0;
+                        let channels = rows[oc].chunks(kernel_len).zip(a_norm.chunks(kernel_len));
+                        for (kernel, activations) in channels {
+                            total += unit.dot(kernel, activations)?;
+                        }
+                        total
                     };
                     let value = normalized * weight_scale * f64::from(activation_scale);
                     *slot = value as f32 + bias[oc];
@@ -539,6 +548,9 @@ impl PhotonicExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, PhotonicBackend};
+    use crate::config::OcGeometry;
+    use crate::mapping::HardwareMapper;
     use crate::platform::{ImageKernel, Platform, Workload};
     use lightator_nn::datasets::{generate, SyntheticConfig};
     use lightator_nn::layers::Flatten;
@@ -546,6 +558,7 @@ mod tests {
     use lightator_nn::models::build_mlp;
     use lightator_nn::quant::quantize_model_weights;
     use lightator_nn::train::{evaluate, train, TrainConfig};
+    use lightator_photonics::arm::ArmConfig;
     use lightator_photonics::noise::DrawCounts;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -787,7 +800,8 @@ mod tests {
     /// the weight-stationary conv programs its row once per (worker chunk,
     /// output channel), so 1 load on one worker and 2 on two. A linear
     /// layer reloads every arm-wide segment of every output row, so it
-    /// executes `out_features × ceil(len / 9)` loads at any worker count.
+    /// executes `out_features × ceil(len / mrs_per_arm)` loads (9 in the
+    /// paper) at any worker count.
     #[test]
     fn sobel_frame_executes_exactly_its_live_lane_draws() {
         let config = Platform::builder()
@@ -848,6 +862,82 @@ mod tests {
             executor.forward_planned(&mut plan, &input).expect("ok");
             assert_eq!(executor.mac_unit.segments_evaluated(), 5 * 3);
             assert_eq!(executor.mac_unit.row_loads(), 5 * 3, "{workers} worker(s)");
+        }
+    }
+
+    /// Runs one frame of `model` on an arm of `mrs_per_arm` MRs, checks
+    /// the photonic backend's lowering computes the same bits, and returns
+    /// the executed segments with those the mapper charges (Σ over non-CA
+    /// mappings of `total_strides × arms_per_stride`).
+    fn executed_and_mapped(model: Sequential, mrs_per_arm: usize, workers: usize) -> (u64, usize) {
+        let geometry = OcGeometry {
+            mrs_per_arm,
+            ..OcGeometry::paper()
+        };
+        let platform = Platform::builder().geometry(geometry).build();
+        let config = platform.expect("platform").config().clone();
+        let shape = model.input_shape().to_vec();
+        let data = (0..shape.iter().product()).map(|i| (i % 7) as f32 / 7.0);
+        let input = Tensor::from_vec(data.collect(), &shape).expect("input");
+        let workload = Workload::Classify { model };
+        let arm = ArmConfig {
+            channels: mrs_per_arm,
+            noise: config.hardware.noise,
+            ..ArmConfig::default()
+        };
+        let unit = PhotonicMacUnit::with_arm_config(arm, config.seed).expect("arm");
+        let mut executor = PhotonicExecutor::with_unit(config.schedule, unit);
+        executor.set_workers(workers);
+        let mut plan = CompiledPlan::compile(&workload, &config, 0).expect("plan");
+        let got = executor.forward_planned(&mut plan, &input).expect("run");
+        let lowered = PhotonicBackend::new().lower(&workload, &config, config.seed);
+        assert_eq!(got, lowered.expect("lower").forward(&input).expect("run"));
+        let spec = crate::verify::performance_spec(&workload, &config).expect("spec");
+        let mapper = HardwareMapper::new(geometry).expect("mapper");
+        let mappings = mapper.map_network(spec.layers()).expect("mapping");
+        let non_ca = mappings.iter().flatten().filter(|m| !m.uses_ca_banks);
+        let mapped = non_ca.map(|m| m.total_strides * m.arms_per_stride).sum();
+        (executor.mac_unit.segments_evaluated(), mapped)
+    }
+
+    /// A one-conv model on an `[in_c, side, side]` input.
+    fn conv_model(in_c: usize, out_c: usize, k: usize, side: usize, padding: usize) -> Sequential {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut model = Sequential::new(&[in_c, side, side]);
+        model.push(Conv2d::new(in_c, out_c, k, 1, padding, &mut rng).expect("conv"));
+        model
+    }
+
+    /// Regression: the executor packed a conv row across input channels
+    /// (⌈in_c·k²/9⌉ segments per output) while the mapper charges every
+    /// channel's kernel on its own (in_c·⌈k²/9⌉): a LeNet-conv2-shaped
+    /// layer (6 channels, 5×5, 14×14) executed 6,800 segments against
+    /// 7,200, and a 4-channel 1×1 conv 256 against 1,024.
+    #[test]
+    fn conv_segments_match_the_mapping_for_multichannel_kernels() {
+        let lenet_conv2 = conv_model(6, 4, 5, 14, 0);
+        assert_eq!(executed_and_mapped(lenet_conv2, 9, 1), (7_200, 7_200));
+        let pointwise = conv_model(4, 4, 1, 8, 0);
+        assert_eq!(executed_and_mapped(pointwise, 9, 1), (1_024, 1_024));
+    }
+
+    proptest::proptest! {
+        /// The executor runs exactly the segments the mapper charges, for
+        /// any arm width, a 1- to 4-channel conv with a 1×1 to 7×7 kernel
+        /// and a linear layer, on one worker or tiled on three.
+        #[test]
+        fn executed_segments_equal_mapped_segments(
+            mrs_per_arm in 1usize..=12,
+            in_c in 1usize..=4,
+            kernel_index in 0usize..4,
+            workers_index in 0usize..2,
+        ) {
+            let k = [1usize, 3, 5, 7][kernel_index];
+            let mut model = conv_model(in_c, 2, k, 5, k / 2);
+            model.push(Flatten::new());
+            model.push(Linear::new(2 * 5 * 5, 3, &mut SmallRng::seed_from_u64(3)).expect("fc"));
+            let (executed, mapped) = executed_and_mapped(model, mrs_per_arm, [1, 3][workers_index]);
+            proptest::prop_assert_eq!(executed, mapped as u64, "{} MRs, {}x{}", mrs_per_arm, k, k);
         }
     }
 

@@ -4,9 +4,9 @@
 //! This crate implements the paper's primary contribution on top of the
 //! photonic, sensor and DNN substrates:
 //!
-//! * [`config`] — optical-core geometry (96 banks × 6 arms × 9 MRs) and
-//!   platform parameters;
-//! * [`oc`] — MVM banks, the summation tree and the photonic MAC unit;
+//! * [`config`] — optical-core geometry (96 banks × 6 arms × `mrs_per_arm`
+//!   MRs, 9 in the paper) and platform parameters;
+//! * [`oc`] — the photonic MAC unit and the summation tree;
 //! * [`mapping`] — the §4 hardware-mapping methodology (3×3/5×5/7×7 kernels,
 //!   FC segmentation, CA banks);
 //! * [`ca`] — the Compressive Acquisitor fusing RGB→grayscale conversion and
@@ -85,7 +85,7 @@ pub use energy::{ComponentPower, EnergyModel, SramModel};
 pub use error::{CoreError, Result};
 pub use exec::{PhotonicAccuracy, PhotonicExecutor};
 pub use mapping::{HardwareMapper, LayerMapping, SummationUsage};
-pub use oc::{MvmBank, OpticalCore, PhotonicMacUnit};
+pub use oc::PhotonicMacUnit;
 pub use plan::{CompiledPlan, EncodedWeights, PlanStats};
 pub use platform::{
     ImageKernel, Outcome, Platform, PlatformBuilder, PlatformConfig, Report, Session, Workload,

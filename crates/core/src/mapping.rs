@@ -1,11 +1,12 @@
 //! Hardware mapping of DNN layers onto the optical core.
 //!
-//! Implements the methodology of paper §4 and Fig. 6: each arm holds 9 MRs so
-//! a 3×3 kernel stride fits in one arm (6 strides per bank, summation tree
-//! idle), a 5×5 kernel needs 3 arms (2 strides per bank, first summation
-//! stage active) and a 7×7 kernel needs the whole bank (1 stride, both
-//! summation stages active). Fully connected layers are segmented into
-//! 9-MAC chunks whose partial sums are combined in the summation tree.
+//! Implements the methodology of paper §4 and Fig. 6: each arm holds
+//! `mrs_per_arm` MRs (9 in the paper), so on the paper's arm a 3×3 kernel
+//! stride fits in one arm (6 strides per bank, summation tree idle), a 5×5
+//! kernel needs 3 arms (2 strides per bank, first summation stage active)
+//! and a 7×7 kernel needs the whole bank (1 stride, both summation stages
+//! active). Fully connected layers are segmented into `mrs_per_arm`-MAC
+//! chunks whose partial sums are combined in the summation tree.
 
 use crate::config::OcGeometry;
 use crate::error::{CoreError, Result};
@@ -34,7 +35,8 @@ pub struct LayerMapping {
     pub unused_mrs_per_stride: usize,
     /// Which summation stages are active.
     pub summation: SummationUsage,
-    /// Total kernel strides (9-MAC work units) the layer requires.
+    /// Total kernel strides (work units of `arms_per_stride` arms of
+    /// `mrs_per_arm` MACs, 9 in the paper) the layer requires.
     pub total_strides: usize,
     /// Strides the whole optical core can evaluate per optical cycle.
     pub strides_per_cycle: usize,
@@ -150,7 +152,8 @@ impl HardwareMapper {
                 )
             }
             LayerSpec::Linear(linear) => {
-                // Each output neuron's dot product is cut into 9-MAC segments
+                // Each output neuron's dot product is cut into segments of
+                // `mrs_per_arm` MACs (9 in the paper)
                 // (paper §4); a segment is one stride. Every segment carries
                 // distinct weights, so concurrency is limited only by the
                 // core capacity.

@@ -1,21 +1,26 @@
-//! Optical core: MVM banks, the summation tree and the photonic MAC unit.
+//! Optical core: the photonic MAC unit and the summation tree.
 //!
 //! The functional behaviour of every bank arm is identical (same ring design,
 //! same WDM grid), so functional inference reuses one [`OpticalArm`] per
 //! execution context and models the two-stage electronic summation tree that
 //! combines partial sums of long dot products (paper Figs. 5 and 6).
+//!
+//! The executor's arm holds [`crate::config::OcGeometry::mrs_per_arm`] MRs
+//! (9 in the paper). A kernel the mapper spreads over `arms_per_stride`
+//! ganged arms is evaluated by this one arm **in sequence**, one segment
+//! (and one MAC cursor step) per ganged arm, so the executed segments equal
+//! the mapped `total_strides × arms_per_stride`. This is intended: ganged
+//! arms share the ring design and the WDM grid, so only the modelled time,
+//! not the executed work, reflects their parallelism.
 
-use crate::config::OcGeometry;
 use crate::error::{CoreError, Result};
 use lightator_photonics::arm::{ArmConfig, OpticalArm};
-use lightator_photonics::microring::MicroringConfig;
 use lightator_photonics::noise::{DrawCounts, NoiseConfig};
-use lightator_photonics::units::Power;
-use serde::{Deserialize, Serialize};
 
 /// A photonic dot-product engine of arbitrary length.
 ///
-/// Long dot products are segmented into arm-sized (9-MAC) chunks; each chunk
+/// Long dot products are segmented into arm-sized chunks of `mrs_per_arm`
+/// MACs (9 in the paper); each chunk
 /// is evaluated optically on an [`OpticalArm`] and the partial results are
 /// accumulated electronically, exactly as the bank summation tree does.
 ///
@@ -41,8 +46,9 @@ pub struct PhotonicMacUnit {
 }
 
 impl PhotonicMacUnit {
-    /// Creates a MAC unit with the paper's 9-MR arm and a deterministic seed
-    /// for the analog noise processes.
+    /// Creates a MAC unit on the default arm ([`ArmConfig::default`], 9 MRs
+    /// as in the paper) and a deterministic seed for the analog noise
+    /// processes.
     ///
     /// # Errors
     ///
@@ -50,9 +56,8 @@ impl PhotonicMacUnit {
     pub fn new(noise: NoiseConfig, seed: u64) -> Result<Self> {
         Self::with_arm_config(
             ArmConfig {
-                channels: 9,
-                ring: MicroringConfig::default(),
                 noise,
+                ..ArmConfig::default()
             },
             seed,
         )
@@ -172,9 +177,9 @@ impl PhotonicMacUnit {
     /// Returns [`CoreError::Photonics`] for activations outside `[0, 1]` or
     /// longer than the arm.
     pub fn mac_loaded(&mut self, activations: &[f64]) -> Result<f64> {
-        let out = self.arm.mac(activations)?;
+        let value = self.arm.mac(activations)?;
         self.segments_evaluated += 1;
-        Ok(out.value)
+        Ok(value)
     }
 
     /// Evaluates `Σ wᵢ·aᵢ` photonically.
@@ -201,79 +206,10 @@ impl PhotonicMacUnit {
         for (w_chunk, a_chunk) in weights.chunks(segment).zip(activations.chunks(segment)) {
             self.arm.load_weights(w_chunk)?;
             self.row_loads += 1;
-            let out = self.arm.mac(a_chunk)?;
-            total += out.value;
+            total += self.arm.mac(a_chunk)?;
             self.segments_evaluated += 1;
         }
         Ok(total)
-    }
-}
-
-/// Structural model of one MVM bank (arms + summation tree), used for power
-/// accounting and for demonstrating the Fig. 6 mapping configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MvmBank {
-    /// Arms in the bank.
-    pub arms: usize,
-    /// MRs per arm.
-    pub mrs_per_arm: usize,
-}
-
-impl MvmBank {
-    /// Creates a bank description.
-    #[must_use]
-    pub fn new(arms: usize, mrs_per_arm: usize) -> Self {
-        Self { arms, mrs_per_arm }
-    }
-
-    /// Total MRs in the bank.
-    #[must_use]
-    pub fn mrs(&self) -> usize {
-        self.arms * self.mrs_per_arm
-    }
-
-    /// Maximum concurrent strides for a kernel of `kernel²` weights.
-    #[must_use]
-    pub fn strides_for_kernel(&self, kernel: usize) -> usize {
-        let needed = (kernel * kernel).div_ceil(self.mrs_per_arm).max(1);
-        self.arms / needed
-    }
-}
-
-/// Aggregated optical core: geometry plus the per-device power hooks needed
-/// by the energy model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OpticalCore {
-    geometry: OcGeometry,
-}
-
-impl OpticalCore {
-    /// Creates an optical core for a geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for an invalid geometry.
-    pub fn new(geometry: OcGeometry) -> Result<Self> {
-        geometry.validate()?;
-        Ok(Self { geometry })
-    }
-
-    /// The geometry.
-    #[must_use]
-    pub fn geometry(&self) -> &OcGeometry {
-        &self.geometry
-    }
-
-    /// One bank of this core.
-    #[must_use]
-    pub fn bank(&self) -> MvmBank {
-        MvmBank::new(self.geometry.arms_per_bank, self.geometry.mrs_per_arm)
-    }
-
-    /// Peak MR tuning power when `active_mrs` rings hold weights.
-    #[must_use]
-    pub fn tuning_power(&self, active_mrs: usize, per_mr: Power) -> Power {
-        per_mr * active_mrs.min(self.geometry.mrs()) as f64
     }
 }
 
@@ -362,24 +298,5 @@ mod tests {
                 expected.to_bits()
             );
         }
-    }
-
-    #[test]
-    fn bank_stride_counts_match_figure_six() {
-        let bank = MvmBank::new(6, 9);
-        assert_eq!(bank.mrs(), 54);
-        assert_eq!(bank.strides_for_kernel(3), 6);
-        assert_eq!(bank.strides_for_kernel(5), 2);
-        assert_eq!(bank.strides_for_kernel(7), 1);
-    }
-
-    #[test]
-    fn optical_core_tuning_power_saturates_at_capacity() {
-        let core = OpticalCore::new(OcGeometry::paper()).expect("ok");
-        let per_mr = Power::from_mw(0.1);
-        let at_capacity = core.tuning_power(5184, per_mr);
-        let beyond = core.tuning_power(10_000, per_mr);
-        assert_eq!(at_capacity, beyond);
-        assert!((at_capacity.mw() - 518.4).abs() < 1e-9);
     }
 }

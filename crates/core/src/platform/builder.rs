@@ -162,7 +162,6 @@ impl PlatformBuilder {
     #[must_use]
     pub fn compressive_acquisition(mut self, ca: CaConfig) -> Self {
         self.config.ca = Some(ca);
-        self.config.hardware.use_compressive_acquisition = true;
         self
     }
 
@@ -170,7 +169,6 @@ impl PlatformBuilder {
     #[must_use]
     pub fn without_compressive_acquisition(mut self) -> Self {
         self.config.ca = None;
-        self.config.hardware.use_compressive_acquisition = false;
         self
     }
 
@@ -478,12 +476,6 @@ impl Platform {
             }
         }
         ids
-    }
-
-    /// Spec of the acquisition pass itself: one optical weighted-sum layer
-    /// (the fused CA convolution, or the per-photosite readout without CA).
-    pub(crate) fn acquisition_spec(&self) -> Result<NetworkSpec> {
-        crate::verify::acquisition_spec_of(&self.config)
     }
 }
 

@@ -154,10 +154,11 @@ impl ArchitectureSimulator {
 
         let compute =
             optical_cycle * (mapping.compute_cycles * timing.optical_cycles_per_wave) as f64;
-        // Weight reloads rewrite every occupied bank through its DACs; banks
-        // reload in parallel, so the cost is per reload pass.
+        // Weight reloads rewrite every occupied bank through its DACs, one
+        // electronic cycle per MR; banks reload in parallel, so the cost is
+        // per reload pass.
         let reload = electronic_cycle
-            * (mapping.weight_reloads * timing.weight_reload_cycles_per_bank) as f64;
+            * (mapping.weight_reloads * self.config.geometry.mrs_per_bank()) as f64;
         // Electronic post-processing (activation function, buffering).
         let outputs = layer.output_elements();
         let post = electronic_cycle

@@ -127,7 +127,6 @@ impl PlatformConfig {
         let p = &self.hardware.periphery;
         write_line(&mut out, "periphery.dacs_per_arm", p.dacs_per_arm);
         write_line(&mut out, "periphery.adcs_per_bank", p.adcs_per_bank);
-        write_line(&mut out, "periphery.vcsels_per_arm", p.vcsels_per_arm);
         write_line(&mut out, "periphery.crc_units", p.crc_units);
         write_line(&mut out, "periphery.weight_sram_kib", p.weight_sram_kib);
         write_line(
@@ -186,11 +185,6 @@ impl PlatformConfig {
         write_line(&mut out, "noise.apply_crosstalk", n.apply_crosstalk);
 
         let t = &self.hardware.timing;
-        write_line(
-            &mut out,
-            "timing.weight_reload_cycles_per_bank",
-            t.weight_reload_cycles_per_bank,
-        );
         write_line(
             &mut out,
             "timing.electronic_post_cycles_per_kilo_output",
@@ -264,9 +258,6 @@ impl PlatformConfig {
                 "periphery.adcs_per_bank" => {
                     config.hardware.periphery.adcs_per_bank = parse_usize(key, value)?;
                 }
-                "periphery.vcsels_per_arm" => {
-                    config.hardware.periphery.vcsels_per_arm = parse_usize(key, value)?;
-                }
                 "periphery.crc_units" => {
                     config.hardware.periphery.crc_units = parse_usize(key, value)?;
                 }
@@ -327,9 +318,6 @@ impl PlatformConfig {
                 "noise.apply_crosstalk" => {
                     config.hardware.noise.apply_crosstalk = parse_bool(key, value)?;
                 }
-                "timing.weight_reload_cycles_per_bank" => {
-                    config.hardware.timing.weight_reload_cycles_per_bank = parse_usize(key, value)?;
-                }
                 "timing.electronic_post_cycles_per_kilo_output" => {
                     config
                         .hardware
@@ -377,7 +365,6 @@ impl PlatformConfig {
             }
         }
 
-        config.hardware.use_compressive_acquisition = ca_enabled;
         config.ca = ca_enabled.then_some(ca);
         Ok(config)
     }

@@ -5,7 +5,6 @@ use lightator_core::ca::{CaConfig, CompressiveAcquisitor};
 use lightator_core::config::{LightatorConfig, OcGeometry};
 use lightator_core::energy::EnergyModel;
 use lightator_core::mapping::{HardwareMapper, SummationUsage};
-use lightator_core::oc::MvmBank;
 use lightator_core::sim::ArchitectureSimulator;
 use lightator_nn::quant::{Precision, PrecisionSchedule};
 use lightator_nn::spec::{ConvSpec, LayerSpec, NetworkSpec};
@@ -44,7 +43,6 @@ fn section3_dmva_component_counts() {
 #[test]
 fn figure6_stride_configurations() {
     let mapper = HardwareMapper::new(OcGeometry::paper()).expect("mapper");
-    let bank = MvmBank::new(6, 9);
     let conv = |kernel: usize| {
         LayerSpec::Conv(ConvSpec {
             in_channels: 8,
@@ -59,19 +57,16 @@ fn figure6_stride_configurations() {
 
     let k3 = mapper.map_layer(&conv(3)).expect("3x3 maps");
     assert_eq!(k3.strides_per_bank, 6);
-    assert_eq!(bank.strides_for_kernel(3), 6);
     assert_eq!(k3.unused_mrs_per_stride, 0);
     assert_eq!(k3.summation, SummationUsage::None);
 
     let k5 = mapper.map_layer(&conv(5)).expect("5x5 maps");
     assert_eq!(k5.strides_per_bank, 2);
-    assert_eq!(bank.strides_for_kernel(5), 2);
     assert_eq!(k5.unused_mrs_per_stride, 2);
     assert_eq!(k5.summation, SummationUsage::FirstStage);
 
     let k7 = mapper.map_layer(&conv(7)).expect("7x7 maps");
     assert_eq!(k7.strides_per_bank, 1);
-    assert_eq!(bank.strides_for_kernel(7), 1);
     assert_eq!(k7.unused_mrs_per_stride, 5);
     assert_eq!(k7.summation, SummationUsage::BothStages);
 }

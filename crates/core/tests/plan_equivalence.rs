@@ -57,6 +57,20 @@ fn conv_classifier(seed: u64) -> Sequential {
     model
 }
 
+/// A classify model whose first conv has three input channels and a 5×5
+/// kernel: each input channel's 25 taps take ⌈25/9⌉ = 3 arm segments of
+/// their own (9 + 9 + 7 MRs), so no segment mixes two channels, unlike
+/// cutting the whole 75-element row into 9-wide chunks.
+fn multichannel_conv_classifier(seed: u64) -> Sequential {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut model = Sequential::new(&[3, 5, 5]);
+    model.push(Conv2d::new(3, 4, 5, 1, 2, &mut rng).expect("conv"));
+    model.push(Activation::relu());
+    model.push(Flatten::new());
+    model.push(Linear::new(4 * 5 * 5, 3, &mut rng).expect("head"));
+    model
+}
+
 fn scenes(count: usize, seed: u64) -> Vec<RgbFrame> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..count)
@@ -130,16 +144,18 @@ fn assert_session_matches_reference(
 proptest! {
     /// Executor level: the planned entry points reuse the pre-encoded
     /// weight bank yet reproduce the per-call-encode reference bit for
-    /// bit — same noise draws, same frame indices.
+    /// bit — same noise draws, same frame indices — for a one-channel 3×3
+    /// conv and for a three-channel 5×5 conv segmented per input channel.
     #[test]
     fn planned_executor_paths_match_per_call_encode(
+        model_index in 0usize..2,
         model_seed in 1u64..64,
         noise_seed in 1u64..64,
         batch in 1usize..5,
         value in 0.0f64..1.0,
     ) {
         let platform = noisy_platform();
-        let mut model = conv_classifier(model_seed);
+        let mut model = [conv_classifier, multichannel_conv_classifier][model_index](model_seed);
         let workload = Workload::Classify { model: model.clone() };
         let mut plan =
             CompiledPlan::compile(&workload, platform.config(), noise_seed).expect("plan");
@@ -147,12 +163,13 @@ proptest! {
         let noise = platform.config().hardware.noise;
 
         let mut rng = SmallRng::seed_from_u64(model_seed ^ noise_seed);
+        let shape = model.input_shape().to_vec();
         let inputs: Vec<Tensor> = (0..batch)
             .map(|_| {
-                let data: Vec<f32> = (0..16)
+                let data: Vec<f32> = (0..shape.iter().product())
                     .map(|_| (rng.gen::<f64>() * value) as f32)
                     .collect();
-                Tensor::from_vec(data, &[1, 4, 4]).expect("tensor")
+                Tensor::from_vec(data, &shape).expect("tensor")
             })
             .collect();
 

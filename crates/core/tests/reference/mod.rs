@@ -2,8 +2,10 @@
 //!
 //! It runs a model the slow, obvious way: every weighted layer re-quantizes
 //! its weights on every call, every dot product goes through the segmented
-//! [`PhotonicMacUnit::dot`] (one weight load per arm-wide segment), and
-//! every input opens its own frame with [`PhotonicMacUnit::begin_frame`].
+//! [`PhotonicMacUnit::dot`] (one weight load per arm-wide segment, and one
+//! dot per input-channel kernel of a convolution, as the hardware mapper
+//! charges it), and every input opens its own frame with
+//! [`PhotonicMacUnit::begin_frame`].
 //! It uses only public APIs and shares no code with the library executor,
 //! so a plan-cached execution that matches it bit for bit has moved no
 //! analog-noise draw.
@@ -91,7 +93,8 @@ impl ReferenceExecutor {
         let (oc_n, oh_n, ow_n) = (out_shape[0], out_shape[1], out_shape[2]);
         let (in_c, in_h, in_w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
         let (k, stride, padding) = (conv.kernel(), conv.stride(), conv.padding());
-        let row_len = in_c * k * k;
+        let kernel_len = k * k;
+        let row_len = in_c * kernel_len;
         let weight_scale = conv.weight().max_abs();
         let activation_scale = max_activation(input);
         let mut out = Vec::with_capacity(oc_n * oh_n * ow_n);
@@ -111,7 +114,15 @@ impl ReferenceExecutor {
                             }
                         })
                         .collect();
-                    let value = self.dot(kernel, &patch, weight_scale, activation_scale, precision);
+                    // Each input channel's kernel is its own segmented dot.
+                    let normalized: f64 = kernel
+                        .chunks(kernel_len)
+                        .zip(patch.chunks(kernel_len))
+                        .map(|(w, a)| {
+                            self.normalized_dot(w, a, weight_scale, activation_scale, precision)
+                        })
+                        .fold(0.0, |total, dot| total + dot);
+                    let value = normalized * f64::from(weight_scale) * f64::from(activation_scale);
                     out.push(value as f32 + conv.bias().data()[oc]);
                 }
             }
@@ -129,7 +140,14 @@ impl ReferenceExecutor {
             .chunks(linear.in_features())
             .zip(linear.bias().data())
             .map(|(row, &bias)| {
-                let value = self.dot(row, input.data(), weight_scale, activation_scale, precision);
+                let normalized = self.normalized_dot(
+                    row,
+                    input.data(),
+                    weight_scale,
+                    activation_scale,
+                    precision,
+                );
+                let value = normalized * f64::from(weight_scale) * f64::from(activation_scale);
                 value as f32 + bias
             })
             .collect();
@@ -137,8 +155,9 @@ impl ReferenceExecutor {
     }
 
     /// Quantizes both operands into MR transmissions and VCSEL drive codes
-    /// and evaluates the segmented photonic dot product, in weight units.
-    fn dot(
+    /// and evaluates the segmented photonic dot product, in normalized
+    /// units (the caller scales by the weight and activation scales).
+    fn normalized_dot(
         &mut self,
         weights: &[f32],
         activations: &[f32],
@@ -169,8 +188,7 @@ impl ReferenceExecutor {
                 }
             })
             .collect();
-        let normalized = self.unit.dot(&w, &a).expect("photonic dot");
-        normalized * f64::from(weight_scale) * f64::from(activation_scale)
+        self.unit.dot(&w, &a).expect("photonic dot")
     }
 }
 

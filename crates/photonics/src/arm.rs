@@ -48,23 +48,6 @@ impl Default for ArmConfig {
     }
 }
 
-/// The result of evaluating one dot product on an arm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ArmOutput {
-    /// The analog MAC value, `Σ aᵢ·wᵢ`, after non-idealities.
-    pub value: f64,
-    /// The ideal (noise-free, crosstalk-free) MAC value for the same inputs.
-    pub ideal: f64,
-}
-
-impl ArmOutput {
-    /// Absolute analog error introduced by the photonic datapath.
-    #[must_use]
-    pub fn error(&self) -> f64 {
-        (self.value - self.ideal).abs()
-    }
-}
-
 /// An optical MAC arm: per-channel MRs plus a balanced photodetector.
 ///
 /// ```
@@ -72,10 +55,13 @@ impl ArmOutput {
 ///
 /// # fn main() -> Result<(), lightator_photonics::PhotonicsError> {
 /// let mut arm = OpticalArm::new(ArmConfig::default())?;
-/// arm.load_weights(&[0.5, -0.25, 0.0, 1.0, -1.0, 0.125, 0.75, -0.5, 0.25])?;
+/// let weights = [0.5, -0.25, 0.0, 1.0, -1.0, 0.125, 0.75, -0.5, 0.25];
+/// let activations = [1.0, 0.5, 0.25, 0.0, 1.0, 0.5, 0.25, 0.0, 1.0];
+/// arm.load_weights(&weights)?;
 /// arm.begin_frame(1, 0);
-/// let out = arm.mac(&[1.0, 0.5, 0.25, 0.0, 1.0, 0.5, 0.25, 0.0, 1.0])?;
-/// assert!(out.error() < 0.1);
+/// let value = arm.mac(&activations)?;
+/// let exact: f64 = weights.iter().zip(activations).map(|(w, a)| w * a).sum();
+/// assert!((value - exact).abs() < 0.1);
 /// # Ok(())
 /// # }
 /// ```
@@ -238,7 +224,8 @@ impl OpticalArm {
         Ok(())
     }
 
-    /// Evaluates one MAC: `Σ aᵢ·wᵢ` for activations `a ∈ [0, 1]`.
+    /// Evaluates one MAC: `Σ aᵢ·wᵢ` for activations `a ∈ [0, 1]`, and
+    /// returns the detected value after non-idealities.
     ///
     /// The activation vector may be shorter than the arm; missing channels
     /// contribute nothing. Non-idealities (VCSEL noise, crosstalk, weight
@@ -257,7 +244,7 @@ impl OpticalArm {
     ///   are supplied.
     /// * [`PhotonicsError::WeightOutOfRange`] if an activation is outside
     ///   `[0, 1]` or not finite (activations are unsigned light intensities).
-    pub fn mac(&mut self, activations: &[f64]) -> Result<ArmOutput> {
+    pub fn mac(&mut self, activations: &[f64]) -> Result<f64> {
         if activations.len() > self.config.channels {
             return Err(PhotonicsError::LengthMismatch {
                 expected: self.config.channels,
@@ -271,11 +258,6 @@ impl OpticalArm {
         }
 
         let activation = |i: usize| activations.get(i).copied().unwrap_or(0.0);
-        let ideal: f64 = (0..self.config.channels)
-            .zip(&self.weights)
-            .map(|(i, w)| activation(i) * w)
-            .sum();
-
         let lane_base = self.mac_cursor.wrapping_mul(self.config.channels as u64);
         let lanes = self
             .weights
@@ -314,10 +296,7 @@ impl OpticalArm {
             .perturb_detection(self.mac_cursor, positive - negative);
         self.mac_cursor = self.mac_cursor.wrapping_add(1);
         self.draws += self.mac_draws;
-        Ok(ArmOutput {
-            value: detected,
-            ideal,
-        })
+        Ok(detected)
     }
 
     /// Total MR tuning power currently drawn by the arm.
@@ -364,16 +343,11 @@ mod tests {
         let activations = [1.0, 0.5, 0.25, 0.0, 1.0, 0.5, 0.25, 0.0, 1.0];
         arm.load_weights(&weights).expect("ok");
         arm.begin_frame(0, 0);
-        let out = arm.mac(&activations).expect("ok");
+        let value = arm.mac(&activations).expect("ok");
         let exact: f64 = weights.iter().zip(activations).map(|(w, a)| w * a).sum();
-        assert!((out.ideal - exact).abs() < 1e-12);
         // The only residual error in the ideal configuration comes from the
         // finite MR extinction ratio (weights cannot be realised exactly).
-        assert!(
-            (out.value - exact).abs() < 0.05,
-            "value {} vs exact {exact}",
-            out.value
-        );
+        assert!((value - exact).abs() < 0.05, "{value} vs {exact}");
     }
 
     #[test]
@@ -383,8 +357,9 @@ mod tests {
         arm.load_weights(&weights).expect("ok");
         arm.begin_frame(9, 0);
         let activations = [0.2, 0.4, 0.6, 0.8, 1.0, 0.1, 0.3, 0.5, 0.7];
-        let out = arm.mac(&activations).expect("ok");
-        assert!(out.error() < 0.15, "error {}", out.error());
+        let value = arm.mac(&activations).expect("ok");
+        let exact: f64 = weights.iter().zip(activations).map(|(w, a)| w * a).sum();
+        assert!((value - exact).abs() < 0.15, "{value} vs {exact}");
     }
 
     #[test]
@@ -392,8 +367,9 @@ mod tests {
         let mut arm = ideal_arm();
         arm.load_weights(&[1.0, 1.0]).expect("ok");
         arm.begin_frame(2, 0);
-        let out = arm.mac(&[0.5]).expect("ok");
-        assert!((out.ideal - 0.5).abs() < 1e-12);
+        // Only the first lane is lit: Σ aᵢ·wᵢ = 0.5 · 1.0.
+        let value = arm.mac(&[0.5]).expect("ok");
+        assert!((value - 0.5).abs() < 0.05, "{value}");
         assert_eq!(arm.active_rings(), 2);
     }
 
@@ -438,8 +414,8 @@ mod tests {
         let mut arm = ideal_arm();
         arm.load_weights(&[-0.8]).expect("ok");
         arm.begin_frame(5, 0);
-        let out = arm.mac(&[1.0]).expect("ok");
-        assert!(out.value < -0.6);
+        let value = arm.mac(&[1.0]).expect("ok");
+        assert!(value < -0.6);
     }
 
     #[test]
@@ -458,17 +434,15 @@ mod tests {
         let mut arm = OpticalArm::new(ArmConfig::default()).expect("valid");
         arm.load_weights(&weights).expect("ok");
         arm.begin_frame(7, 4);
-        let sequential: Vec<f64> = (0..5)
-            .map(|_| arm.mac(&activations).expect("ok").value)
-            .collect();
+        let sequential: Vec<f64> = (0..5).map(|_| arm.mac(&activations).expect("ok")).collect();
         // Replaying any cursor position on a fresh clone reproduces the bits.
         for (cursor, expected) in sequential.iter().enumerate() {
             let mut replay = OpticalArm::new(ArmConfig::default()).expect("valid");
             replay.load_weights(&weights).expect("ok");
             replay.begin_frame(7, 4);
             replay.set_mac_cursor(cursor as u64);
-            let out = replay.mac(&activations).expect("ok");
-            assert_eq!(out.value.to_bits(), expected.to_bits());
+            let value = replay.mac(&activations).expect("ok");
+            assert_eq!(value.to_bits(), expected.to_bits());
             assert_eq!(replay.mac_cursor(), cursor as u64 + 1);
         }
     }
@@ -489,9 +463,7 @@ mod tests {
             .expect("valid");
             arm.load_weights(&weights).expect("ok");
             arm.begin_frame(3, 1);
-            (0..8)
-                .map(|_| arm.mac(&activations).expect("ok").value)
-                .collect()
+            (0..8).map(|_| arm.mac(&activations).expect("ok")).collect()
         };
         let base = NoiseConfig::default();
         let full = run(base);

@@ -27,11 +27,15 @@
 //! use lightator_photonics::arm::{ArmConfig, OpticalArm};
 //!
 //! # fn main() -> Result<(), lightator_photonics::PhotonicsError> {
+//! let weights = [0.25, -0.5, 0.75, 0.0, 0.5, -0.25, 0.1, 0.9, -0.9];
+//! let activations = [1.0, 0.5, 0.0, 0.25, 0.75, 1.0, 0.5, 0.0, 0.25];
 //! let mut arm = OpticalArm::new(ArmConfig::default())?;
-//! arm.load_weights(&[0.25, -0.5, 0.75, 0.0, 0.5, -0.25, 0.1, 0.9, -0.9])?;
+//! arm.load_weights(&weights)?;
 //! arm.begin_frame(42, 0);
-//! let out = arm.mac(&[1.0, 0.5, 0.0, 0.25, 0.75, 1.0, 0.5, 0.0, 0.25])?;
-//! println!("photonic MAC = {:.3} (ideal {:.3})", out.value, out.ideal);
+//! let value = arm.mac(&activations)?;
+//! let exact: f64 = weights.iter().zip(activations).map(|(w, a)| w * a).sum();
+//! println!("photonic MAC = {value:.3} (exact {exact:.3})");
+//! assert!((value - exact).abs() < 0.2);
 //! # Ok(())
 //! # }
 //! ```
@@ -51,7 +55,7 @@ pub mod vcsel;
 pub mod waveguide;
 pub mod wdm;
 
-pub use arm::{ArmConfig, ArmOutput, OpticalArm};
+pub use arm::{ArmConfig, OpticalArm};
 pub use error::{PhotonicsError, Result};
 pub use microring::{MicroringConfig, MicroringResonator};
 pub use noise::{CounterRng, DrawCounts, NoiseChannel, NoiseConfig, NoiseInjector};

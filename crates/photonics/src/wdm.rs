@@ -59,8 +59,8 @@ impl WdmGrid {
         })
     }
 
-    /// A convenient default grid for a 9-MR Lightator arm: 0.8 nm spacing
-    /// around 1550 nm.
+    /// The grid of a Lightator arm of `channels` MRs (9 in the paper):
+    /// 0.8 nm spacing around 1550 nm.
     ///
     /// # Errors
     ///

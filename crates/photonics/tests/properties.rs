@@ -1,6 +1,6 @@
 //! Property-based tests for the photonic device models.
 
-use lightator_photonics::arm::{ArmConfig, ArmOutput, OpticalArm};
+use lightator_photonics::arm::{ArmConfig, OpticalArm};
 use lightator_photonics::microring::{MicroringConfig, MicroringResonator};
 use lightator_photonics::noise::{NoiseConfig, NoiseInjector};
 use lightator_photonics::photodetector::{BalancedPhotodetector, PhotodetectorConfig};
@@ -20,7 +20,7 @@ fn reference_mac(
     weights: &[f64],
     (seed, frame, cursor): (u64, u64, u64),
     activations: &[f64],
-) -> ArmOutput {
+) -> f64 {
     let n = config.channels;
     let grid = WdmGrid::lightator_arm(n).unwrap();
     let weights: Vec<f64> = (0..n)
@@ -50,7 +50,6 @@ fn reference_mac(
     let mut intensities: Vec<f64> = (0..n)
         .map(|i| activations.get(i).copied().unwrap_or(0.0))
         .collect();
-    let ideal: f64 = intensities.iter().zip(&weights).map(|(a, w)| a * w).sum();
     let lane_base = cursor.wrapping_mul(n as u64);
     for (i, value) in intensities.iter_mut().enumerate() {
         *value = injector.perturb_intensity(lane_base.wrapping_add(i as u64), *value);
@@ -80,10 +79,7 @@ fn reference_mac(
             negative += a * realised;
         }
     }
-    ArmOutput {
-        value: injector.perturb_detection(cursor, positive - negative),
-        ideal,
-    }
+    injector.perturb_detection(cursor, positive - negative)
 }
 
 /// A sampled value with its edge cases made likely: `kind` 0 gives 0, 1
@@ -145,8 +141,7 @@ proptest! {
         for call in cursor..cursor + 3 {
             let got = arm.mac(&activations).unwrap();
             let expected = reference_mac(&config, &weights, (seed, frame, call), &activations);
-            prop_assert_eq!(got.value.to_bits(), expected.value.to_bits(), "value at cursor {}", call);
-            prop_assert_eq!(got.ideal.to_bits(), expected.ideal.to_bits(), "ideal at cursor {}", call);
+            prop_assert_eq!(got.to_bits(), expected.to_bits(), "value at cursor {}", call);
         }
     }
 
@@ -316,11 +311,10 @@ proptest! {
         }).unwrap();
         arm.load_weights(&weights).unwrap();
         arm.begin_frame(seed, 0);
-        let out = arm.mac(&activations).unwrap();
+        let value = arm.mac(&activations).unwrap();
         let exact: f64 = weights.iter().zip(&activations).map(|(w, a)| w * a).sum();
-        prop_assert!((out.ideal - exact).abs() < 1e-12);
         // 9 products, each off by at most ~2% of its magnitude.
-        prop_assert!((out.value - exact).abs() < 0.2, "value {} exact {}", out.value, exact);
+        prop_assert!((value - exact).abs() < 0.2, "value {} exact {}", value, exact);
     }
 
     /// Arm tuning power scales with the number of active (non-zero) weights.
