@@ -11,10 +11,12 @@
 //! `backend_differential` test in `lightator-core`) instead of a
 //! hand-checked table.
 //!
-//! The frame counter is maintained exactly like the photonic executor's —
-//! one index per `forward`, one per batch element, one per frame batch —
-//! so seek/replay semantics are identical across backends even though the
-//! digital path draws no noise.
+//! The digital path draws no noise, so it ignores the frame numbers the
+//! session hands it. The session owns the frame index and the plan-hit
+//! counts, which is why seek/replay semantics and [`PlanStats`] read the
+//! same on every backend.
+//!
+//! [`PlanStats`]: lightator_core::plan::PlanStats
 
 use lightator_core::backend::{Backend, BackendId, LoweredPlan};
 use lightator_core::plan::CompiledPlan;
@@ -80,10 +82,7 @@ impl Backend for ElectronicReference {
         seed: u64,
     ) -> Result<Box<dyn LoweredPlan>> {
         let plan = CompiledPlan::compile(workload, config, seed)?;
-        Ok(Box::new(ElectronicLowered {
-            plan,
-            next_frame: 0,
-        }))
+        Ok(Box::new(ElectronicLowered { plan }))
     }
 
     fn performance(
@@ -110,15 +109,10 @@ impl Backend for ElectronicReference {
 /// [`CompiledPlan`] executed digitally in fp32.
 ///
 /// The pre-encoded MR weight bank in the plan is carried but unused — the
-/// digital path runs the lowered model's fp32 weights directly. Cache-hit
-/// accounting mirrors the photonic executor so [`PlanStats`] reads the
-/// same on every backend.
-///
-/// [`PlanStats`]: lightator_core::plan::PlanStats
+/// digital path runs the lowered model's fp32 weights directly.
 #[derive(Debug, Clone)]
 pub struct ElectronicLowered {
     plan: CompiledPlan,
-    next_frame: u64,
 }
 
 impl ElectronicLowered {
@@ -131,36 +125,15 @@ impl ElectronicLowered {
 }
 
 impl LoweredPlan for ElectronicLowered {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.next_frame = self.next_frame.saturating_add(1);
-        self.plan.record_hits(1);
-        Self::model_forward(&mut self.plan, input)
-    }
-
-    fn forward_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.next_frame = self.next_frame.saturating_add(inputs.len() as u64);
-        self.plan.record_hits(inputs.len() as u64);
+    fn forward_batch(&mut self, _first_frame: u64, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
         inputs
             .iter()
             .map(|input| Self::model_forward(&mut self.plan, input))
             .collect()
     }
 
-    fn forward_frame_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.next_frame = self.next_frame.saturating_add(1);
-        self.plan.record_hits(1);
-        inputs
-            .iter()
-            .map(|input| Self::model_forward(&mut self.plan, input))
-            .collect()
-    }
-
-    fn next_frame_index(&self) -> u64 {
-        self.next_frame
-    }
-
-    fn set_next_frame_index(&mut self, index: u64) {
-        self.next_frame = index;
+    fn forward_frame_batch(&mut self, frame: u64, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+        self.forward_batch(frame, inputs)
     }
 
     fn plan(&self) -> &CompiledPlan {
@@ -210,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn lowered_plans_execute_digitally_and_count_frames() {
+    fn lowered_plans_execute_digitally_at_any_frame() {
         let platform = Platform::builder()
             .sensor_resolution(8, 8)
             .build()
@@ -231,25 +204,24 @@ mod tests {
         let n: usize = shape.iter().product();
         let input = Tensor::from_vec((0..n).map(|i| i as f32 / n as f32).collect(), &shape)
             .expect("tensor");
-        let out = lowered.forward(&input).expect("forward");
-        assert_eq!(lowered.next_frame_index(), 1);
-        assert_eq!(lowered.plan().stats().cache_hits, 1);
-        assert_eq!(lowered.plan().stats().encodes, 1);
+        let out = lowered
+            .forward_batch(0, std::slice::from_ref(&input))
+            .expect("forward");
 
         // The digital path is exactly the lowered model's fp32 forward.
         let mut reference = lowered.plan().model().expect("model").clone();
         let expected = reference.forward(&input).expect("digital");
-        assert_eq!(out.data(), expected.data());
+        assert_eq!(out, vec![expected]);
 
-        // Batch and frame-batch advance the counter like the photonic
-        // executor: one index per element vs one per frame.
-        lowered
-            .forward_batch(&[input.clone(), input.clone()])
-            .expect("batch");
-        assert_eq!(lowered.next_frame_index(), 3);
-        lowered
-            .forward_frame_batch(&[input.clone(), input])
-            .expect("frame batch");
-        assert_eq!(lowered.next_frame_index(), 4);
+        // It draws no noise, so every frame number, batch element and
+        // frame-batch tile computes the same bits.
+        let inputs = [input.clone(), input];
+        let batch = lowered.forward_batch(u64::MAX, &inputs).expect("batch");
+        assert_eq!(batch, vec![out[0].clone(), out[0].clone()]);
+        let tiles = lowered.forward_frame_batch(9, &inputs).expect("tiles");
+        assert_eq!(tiles, batch);
+        // Frame accounting is the session's: the lowered plan records none.
+        assert_eq!(lowered.plan().stats().cache_hits, 0);
+        assert_eq!(lowered.plan().stats().encodes, 1);
     }
 }

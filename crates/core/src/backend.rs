@@ -99,42 +99,34 @@ impl From<&str> for BackendId {
 /// encoded weight bank, reuse counters) plus whatever per-backend execution
 /// state it needs — the photonic implementation carries the frame-indexed
 /// [`PhotonicExecutor`]. The `Session` keeps all workload-level logic
-/// (shape checks, outcome construction, the stream gate); the lowered plan
-/// only answers "run these tensors".
+/// (shape checks, outcome construction, the stream gate) and all frame
+/// accounting; the lowered plan only answers "run these tensors at these
+/// frame numbers".
 ///
-/// **Determinism contract.** `forward` consumes exactly one frame index;
-/// `forward_batch` one per input; `forward_frame_batch` runs every input
-/// inside a *single* frame's noise stream (the video-stream tile path).
-/// Backends without analog noise still maintain the frame counter so
-/// seek/replay semantics are identical across backends.
+/// **Determinism contract.** The session hands every call its global frame
+/// number: `forward_batch(first_frame, inputs)` runs input `i` as frame
+/// `first_frame + i` (saturating at `u64::MAX`), and
+/// `forward_frame_batch(frame, inputs)` runs every input inside frame
+/// `frame`'s single noise stream (the video-stream tile path). The output
+/// of a call is a pure function of the plan, the frame numbers and the
+/// inputs, so a backend keeps no frame counter and records no plan hits:
+/// [`Session`](crate::platform::Session) owns both. Backends without analog
+/// noise ignore the frame numbers.
 pub trait LoweredPlan: fmt::Debug + Send + Sync {
-    /// Runs one input through the lowered model.
+    /// Runs a batch, input `i` as global frame `first_frame + i`.
     ///
     /// # Errors
     ///
     /// Propagates backend execution errors.
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor>;
+    fn forward_batch(&mut self, first_frame: u64, inputs: &[Tensor]) -> Result<Vec<Tensor>>;
 
-    /// Runs a batch, one frame index per input.
+    /// Runs every input inside global frame `frame`'s noise stream (the
+    /// per-block stream tile path).
     ///
     /// # Errors
     ///
     /// Propagates backend execution errors.
-    fn forward_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>>;
-
-    /// Runs every input inside one frame's noise stream (the per-block
-    /// stream tile path), consuming exactly one frame index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend execution errors.
-    fn forward_frame_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>>;
-
-    /// Index of the global frame the next forward executes as.
-    fn next_frame_index(&self) -> u64;
-
-    /// Positions the lowered plan at global frame `index`.
-    fn set_next_frame_index(&mut self, index: u64);
+    fn forward_frame_batch(&mut self, frame: u64, inputs: &[Tensor]) -> Result<Vec<Tensor>>;
 
     /// The compiled plan this lowering executes.
     fn plan(&self) -> &CompiledPlan;
@@ -345,25 +337,15 @@ pub struct PhotonicLowered {
 }
 
 impl LoweredPlan for PhotonicLowered {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.executor.forward_planned(&mut self.plan, input)
-    }
-
-    fn forward_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+    fn forward_batch(&mut self, first_frame: u64, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+        self.executor.set_next_frame_index(first_frame);
         self.executor.forward_batch_planned(&mut self.plan, inputs)
     }
 
-    fn forward_frame_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+    fn forward_frame_batch(&mut self, frame: u64, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+        self.executor.set_next_frame_index(frame);
         self.executor
             .forward_frame_batch_planned(&mut self.plan, inputs)
-    }
-
-    fn next_frame_index(&self) -> u64 {
-        self.executor.next_frame_index()
-    }
-
-    fn set_next_frame_index(&mut self, index: u64) {
-        self.executor.set_next_frame_index(index);
     }
 
     fn plan(&self) -> &CompiledPlan {

@@ -309,10 +309,10 @@ impl PhotonicExecutor {
         self.next_frame = self.next_frame.saturating_add(1);
     }
 
-    /// Runs one input through a [`CompiledPlan`] as one frame: the
-    /// pre-encoded MR weight bank is reused as-is (no per-call encoding
-    /// pass) and the plan's preallocated scratch buffers serve every
-    /// stride.
+    /// Runs a batch of inputs through a [`CompiledPlan`], one frame index
+    /// per input: the pre-encoded MR weight bank is reused as-is (no
+    /// per-call encoding pass) and the plan's preallocated scratch buffers
+    /// serve every stride.
     ///
     /// Activations are clamped to the non-negative range before being
     /// encoded as light intensities (Lightator encodes activations as
@@ -321,22 +321,9 @@ impl PhotonicExecutor {
     /// # Errors
     ///
     /// Returns [`CoreError::ModelMismatch`] for acquisition-only plans
-    /// (no optical model) or a mismatched input shape, and propagates
-    /// photonic errors.
-    pub fn forward_planned(&mut self, plan: &mut CompiledPlan, input: &Tensor) -> Result<Tensor> {
-        check_plan_input(plan, input)?;
-        self.begin_frame();
-        plan.record_hits(1);
-        self.forward_planned_in_frame(plan, input)
-    }
-
-    /// Runs a batch of inputs through a [`CompiledPlan`], one frame index
-    /// per input. Bit-identical to one [`PhotonicExecutor::forward_planned`]
-    /// call per input on the same executor state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PhotonicExecutor::forward_planned`], checked per input.
+    /// (no optical model) or a mismatched input shape — checked per input,
+    /// before that input consumes its frame index — and propagates photonic
+    /// errors.
     pub fn forward_batch_planned(
         &mut self,
         plan: &mut CompiledPlan,
@@ -347,9 +334,6 @@ impl PhotonicExecutor {
             .map(|input| {
                 check_plan_input(plan, input)?;
                 self.begin_frame();
-                // Count the hit only once the input is actually admitted
-                // to the cached encoding, matching `forward_planned`.
-                plan.record_hits(1);
                 self.forward_planned_in_frame(plan, input)
             })
             .collect()
@@ -368,14 +352,14 @@ impl PhotonicExecutor {
     ///
     /// # Errors
     ///
-    /// Same as [`PhotonicExecutor::forward_planned`], checked per input.
+    /// Same as [`PhotonicExecutor::forward_batch_planned`], checked per
+    /// input.
     pub fn forward_frame_batch_planned(
         &mut self,
         plan: &mut CompiledPlan,
         inputs: &[Tensor],
     ) -> Result<Vec<Tensor>> {
         self.begin_frame();
-        plan.record_hits(1);
         inputs
             .iter()
             .map(|input| {
@@ -563,6 +547,12 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// Runs `input` as the executor's next frame.
+    fn run_one(executor: &mut PhotonicExecutor, plan: &mut CompiledPlan, input: &Tensor) -> Tensor {
+        let outputs = executor.forward_batch_planned(plan, std::slice::from_ref(input));
+        outputs.expect("ok").remove(0)
+    }
+
     fn trained_setup() -> (Sequential, lightator_nn::datasets::Dataset) {
         let mut rng = SmallRng::seed_from_u64(77);
         let dataset = generate("tiny", SyntheticConfig::tiny(3), &mut rng).expect("ok");
@@ -616,9 +606,7 @@ mod tests {
         let mut agree = 0usize;
         let n = 6;
         for sample in dataset.test().iter().take(n) {
-            let logits = executor
-                .forward_planned(&mut plan, &sample.input)
-                .expect("ok");
+            let logits = run_one(&mut executor, &mut plan, &sample.input);
             let digital = model.predict(&sample.input).expect("ok");
             if logits.argmax() == Some(digital) {
                 agree += 1;
@@ -664,7 +652,7 @@ mod tests {
             PhotonicExecutor::new(schedule, NoiseConfig::default(), 9).expect("ok");
         let expected: Vec<Tensor> = inputs
             .iter()
-            .map(|input| sequential.forward_planned(&mut plan, input).expect("ok"))
+            .map(|input| run_one(&mut sequential, &mut plan, input))
             .collect();
 
         let mut batched = PhotonicExecutor::new(schedule, NoiseConfig::default(), 9).expect("ok");
@@ -689,13 +677,13 @@ mod tests {
             PhotonicExecutor::new(schedule, NoiseConfig::default(), 11).expect("ok");
         let expected: Vec<Tensor> = inputs
             .iter()
-            .map(|input| sequential.forward_planned(&mut plan, input).expect("ok"))
+            .map(|input| run_one(&mut sequential, &mut plan, input))
             .collect();
         assert_eq!(sequential.next_frame_index(), 3);
 
         let mut seeked = PhotonicExecutor::new(schedule, NoiseConfig::default(), 11).expect("ok");
         seeked.set_next_frame_index(2);
-        let got = seeked.forward_planned(&mut plan, &inputs[2]).expect("ok");
+        let got = run_one(&mut seeked, &mut plan, &inputs[2]);
         assert_eq!(expected[2].data(), got.data(), "seeked frame diverged");
     }
 
@@ -741,9 +729,9 @@ mod tests {
         let input = &inputs[0];
         let mut executor = PhotonicExecutor::new(schedule, NoiseConfig::default(), 21).expect("ok");
         executor.set_next_frame_index(u64::MAX);
-        let last = executor.forward_planned(&mut plan, input).expect("ok");
+        let last = run_one(&mut executor, &mut plan, input);
         assert_eq!(executor.next_frame_index(), u64::MAX);
-        let saturated = executor.forward_planned(&mut plan, input).expect("ok");
+        let saturated = run_one(&mut executor, &mut plan, input);
         assert_eq!(
             last.data(),
             saturated.data(),
@@ -751,7 +739,7 @@ mod tests {
         );
         // ... and that stream is NOT frame 0's (no wrap-around replay).
         let mut fresh = PhotonicExecutor::new(schedule, NoiseConfig::default(), 21).expect("ok");
-        let frame0 = fresh.forward_planned(&mut plan, input).expect("ok");
+        let frame0 = run_one(&mut fresh, &mut plan, input);
         assert_ne!(
             last.data(),
             frame0.data(),
@@ -767,7 +755,7 @@ mod tests {
         sequential.set_workers(1);
         let expected: Vec<Tensor> = inputs
             .iter()
-            .map(|input| sequential.forward_planned(&mut plan, input).expect("ok"))
+            .map(|input| run_one(&mut sequential, &mut plan, input))
             .collect();
 
         for workers in [2usize, 4, 8] {
@@ -826,7 +814,7 @@ mod tests {
             let mut executor =
                 PhotonicExecutor::new(plan.schedule(), NoiseConfig::default(), 7).expect("ok");
             executor.set_workers(workers);
-            executor.forward_planned(&mut plan, &frame).expect("ok");
+            run_one(&mut executor, &mut plan, &frame);
             assert_eq!(executor.mac_unit.segments_evaluated(), 1_024);
             assert_eq!(
                 executor.mac_unit.draws(),
@@ -859,7 +847,7 @@ mod tests {
             let mut executor =
                 PhotonicExecutor::new(plan.schedule(), NoiseConfig::default(), 7).expect("ok");
             executor.set_workers(workers);
-            executor.forward_planned(&mut plan, &input).expect("ok");
+            run_one(&mut executor, &mut plan, &input);
             assert_eq!(executor.mac_unit.segments_evaluated(), 5 * 3);
             assert_eq!(executor.mac_unit.row_loads(), 5 * 3, "{workers} worker(s)");
         }
@@ -889,9 +877,12 @@ mod tests {
         let mut executor = PhotonicExecutor::with_unit(config.schedule, unit);
         executor.set_workers(workers);
         let mut plan = CompiledPlan::compile(&workload, &config, 0).expect("plan");
-        let got = executor.forward_planned(&mut plan, &input).expect("run");
+        let got = run_one(&mut executor, &mut plan, &input);
         let lowered = PhotonicBackend::new().lower(&workload, &config, config.seed);
-        assert_eq!(got, lowered.expect("lower").forward(&input).expect("run"));
+        let via_backend = lowered
+            .expect("lower")
+            .forward_batch(0, std::slice::from_ref(&input));
+        assert_eq!(vec![got], via_backend.expect("run"));
         let spec = crate::verify::performance_spec(&workload, &config).expect("spec");
         let mapper = HardwareMapper::new(geometry).expect("mapper");
         let mappings = mapper.map_network(spec.layers()).expect("mapping");
@@ -948,9 +939,9 @@ mod tests {
         let mut plan = classify_plan(&model, schedule);
         let mut executor = PhotonicExecutor::new(schedule, NoiseConfig::ideal(), 1).expect("ok");
         let bad = Tensor::zeros(&[1, 3, 3]);
-        assert!(executor.forward_planned(&mut plan, &bad).is_err());
+        let rejected = executor.forward_batch_planned(&mut plan, std::slice::from_ref(&bad));
+        assert!(rejected.is_err());
         assert_eq!(executor.next_frame_index(), 0, "rejection consumes nothing");
-        assert_eq!(plan.stats().cache_hits, 0);
     }
 
     #[test]
@@ -966,9 +957,7 @@ mod tests {
             let mut plan = classify_plan(&model, schedule);
             let mut executor =
                 PhotonicExecutor::new(schedule, NoiseConfig::ideal(), 5).expect("ok");
-            let photonic = executor
-                .forward_planned(&mut plan, &sample.input)
-                .expect("ok");
+            let photonic = run_one(&mut executor, &mut plan, &sample.input);
             let delta: f32 = digital
                 .data()
                 .iter()

@@ -147,8 +147,9 @@ pub fn encode_model(
 /// call — a healthy steady state stays at 1 per session); `cache_hits`
 /// counts executions served from the cached plan without recompiling — the
 /// pre-encoded weight bank for weighted workloads, the cached CA operator
-/// for acquisition-only plans (one hit per frame on the single/batched
-/// paths, one per stream frame).
+/// for acquisition-only plans (one hit per admitted frame of `run`,
+/// `run_batch` and `evaluate`, one per stream frame). The
+/// [`Session`](crate::platform::Session) records them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanStats {
     /// Weight-encoding passes performed for this plan.
@@ -307,12 +308,10 @@ impl CompiledPlan {
         self.stats
     }
 
-    /// Records `hits` executions served from the cached encoding.
-    ///
-    /// Public so out-of-crate [`crate::backend::LoweredPlan`]
-    /// implementations (the electronic reference backend) can keep the
-    /// reuse counters honest.
-    pub fn record_hits(&mut self, hits: u64) {
+    /// Records `hits` executions served from the cached encoding. Only the
+    /// [`Session`](crate::platform::Session) counts hits, so they read the
+    /// same on every backend.
+    pub(crate) fn record_hits(&mut self, hits: u64) {
         self.stats.cache_hits += hits;
     }
 

@@ -133,23 +133,22 @@ impl Report {
     }
 }
 
-/// Validates a classify model against the acquired inputs once per batch.
+/// Validates classify inputs (acquired frames or dataset samples) against
+/// the model's input shape.
 pub(crate) fn check_model_input(model: &Sequential, inputs: &[Tensor]) -> Result<()> {
     for input in inputs {
         if input.shape() != model.input_shape() {
-            return Err(model_mismatch(input.shape(), model.input_shape()));
+            return Err(CoreError::ModelMismatch {
+                reason: format!(
+                    "input tensor {:?} does not match the model input {:?}; sensor \
+                     frames need a sensor resolution and CA window that produce it",
+                    input.shape(),
+                    model.input_shape()
+                ),
+            });
         }
     }
     Ok(())
-}
-
-pub(crate) fn model_mismatch(acquired: &[usize], expected: &[usize]) -> CoreError {
-    CoreError::ModelMismatch {
-        reason: format!(
-            "acquired tensor {acquired:?} does not match the model input {expected:?}; \
-             choose a sensor resolution and CA window that produce the model's input"
-        ),
-    }
 }
 
 pub(crate) fn classification_from_logits(

@@ -16,8 +16,8 @@ use crate::exec::PhotonicAccuracy;
 use crate::plan::{CompiledPlan, PlanStats};
 use crate::platform::builder::Platform;
 use crate::platform::report::{
-    acquisition_outcome, check_model_input, classification_from_logits, filtered_from,
-    model_mismatch, Outcome, Report,
+    acquisition_outcome, check_model_input, classification_from_logits, filtered_from, Outcome,
+    Report,
 };
 use crate::platform::workload::Workload;
 use crate::sim::SimulationReport;
@@ -46,6 +46,9 @@ pub struct Session {
     sensor: SensorArray,
     /// The workload lowered onto this session's backend.
     lowered: Box<dyn LoweredPlan>,
+    /// Global index of the next frame: every frame entry point takes its
+    /// frame numbers from here and hands them to `lowered`.
+    next_frame: u64,
     backend: BackendId,
     workload: Workload,
     stream: Option<StreamPipeline>,
@@ -131,6 +134,7 @@ impl Session {
         Ok(Session {
             sensor,
             lowered,
+            next_frame: 0,
             backend: backend.id(),
             workload,
             stream,
@@ -253,7 +257,7 @@ impl Session {
 
     /// Processes one frame end to end through the cached plan and reports
     /// both the functional result and the workload's performance on this
-    /// platform.
+    /// platform: a [`Session::run_batch`] of one scene.
     ///
     /// # Errors
     ///
@@ -265,65 +269,17 @@ impl Session {
     /// [`Session::run`] (without consuming an index) — use
     /// [`Session::run_stream`].
     pub fn run(&mut self, scene: &RgbFrame) -> Result<Report> {
-        self.ensure_frame_workload()?;
-        let index = self.lowered.next_frame_index();
-        let stats_before = self.tracer.as_ref().map(|_| self.lowered.plan().stats());
-        let result = self.run_inner(scene);
-        // One frame, one index — success or failure. (Failures can bail
-        // out before the executor advances, e.g. on a sensor error or a
-        // model mismatch.)
-        self.lowered.set_next_frame_index(index.saturating_add(1));
-        if let Some(before) = stats_before {
-            self.trace_frames(index, 1, before, result.is_ok());
-        }
-        result
-    }
-
-    fn run_inner(&mut self, scene: &RgbFrame) -> Result<Report> {
-        let input = self.acquire(scene)?;
-        // Workload-level checks first (against the workload's own model),
-        // then hand the tensors to the backend's lowered plan.
-        let step = match &self.workload {
-            Workload::Classify { model } => {
-                if input.shape() != model.input_shape() {
-                    return Err(model_mismatch(input.shape(), model.input_shape()));
-                }
-                FrameStep::Classify
-            }
-            Workload::Acquire => FrameStep::Acquire,
-            Workload::ImageKernel { kernel } => FrameStep::Kernel(kernel.name()),
-            Workload::VideoStream { .. } => {
-                unreachable!("`ensure_frame_workload` rejects stream sessions before run_inner")
-            }
-        };
-        let outcome = match step {
-            FrameStep::Classify => {
-                let logits = self.lowered.forward(&input)?;
-                classification_from_logits(&logits, input.shape())?
-            }
-            FrameStep::Acquire => {
-                // Acquisition runs through the plan's cached CA operator;
-                // count the reuse even though no weight bank is involved.
-                self.lowered.plan_mut().record_hits(1);
-                acquisition_outcome(&input)
-            }
-            FrameStep::Kernel(name) => {
-                let filtered = self.lowered.forward(&input)?;
-                filtered_from(&filtered, name)
-            }
-        };
-        Ok(Report {
-            workload: self.label.clone(),
-            outcome,
-            perf: self.perf.clone(),
+        let mut reports = self.run_batch(std::slice::from_ref(scene))?;
+        reports.pop().ok_or_else(|| CoreError::ModelMismatch {
+            reason: "a one-scene batch produced no report".to_string(),
         })
     }
 
     /// Processes a batch of frames through the cached plan: the quantized
     /// MR weight bank was encoded once when the session opened and every
-    /// frame streams through the shared encoding — strictly faster than N
-    /// sequential [`Session::run`] calls and bit-identical to them for the
-    /// same starting session state.
+    /// frame streams through the shared encoding — bit-identical to N
+    /// sequential [`Session::run`] calls from the same starting session
+    /// state.
     ///
     /// # Errors
     ///
@@ -332,27 +288,30 @@ impl Session {
     pub fn run_batch(&mut self, scenes: &[RgbFrame]) -> Result<Vec<Report>> {
         self.ensure_frame_workload()?;
         if scenes.is_empty() {
-            // Nothing to acquire or execute: leave the executor (and its
-            // noise-stream position) untouched instead of programming the
-            // weight DACs for zero frames.
+            // Nothing to acquire or execute: leave the frame index (and the
+            // noise-stream position) untouched.
             return Ok(Vec::new());
         }
-        let index = self.lowered.next_frame_index();
-        let stats_before = self.tracer.as_ref().map(|_| self.lowered.plan().stats());
-        let result = self.run_batch_inner(scenes);
-        self.lowered
-            .set_next_frame_index(index.saturating_add(scenes.len() as u64));
-        if let Some(before) = stats_before {
-            self.trace_frames(index, scenes.len(), before, result.is_ok());
+        // One frame, one index — success or failure. (Failures can bail
+        // out before the backend runs, e.g. on a sensor error or a model
+        // mismatch.)
+        let first = self.next_frame;
+        self.next_frame = first.saturating_add(scenes.len() as u64);
+        let hits_before = self.tracer.as_ref().map(|_| self.plan_stats().cache_hits);
+        let result = self.run_batch_inner(first, scenes);
+        if let Some(before) = hits_before {
+            self.trace_frames(first, scenes.len(), before, result.is_ok());
         }
         result
     }
 
-    fn run_batch_inner(&mut self, scenes: &[RgbFrame]) -> Result<Vec<Report>> {
+    fn run_batch_inner(&mut self, first: u64, scenes: &[RgbFrame]) -> Result<Vec<Report>> {
         let inputs: Vec<Tensor> = scenes
             .iter()
             .map(|scene| self.acquire(scene))
             .collect::<Result<_>>()?;
+        // Workload-level checks first (against the workload's own model),
+        // then hand the tensors to the backend's lowered plan.
         let step = match &self.workload {
             Workload::Classify { model } => {
                 check_model_input(model, &inputs)?;
@@ -364,23 +323,21 @@ impl Session {
                 unreachable!("`ensure_frame_workload` rejects stream sessions before batches")
             }
         };
+        // Every admitted frame reuses the cached plan once: the encoded
+        // weight bank, or the CA operator of an acquisition-only plan.
+        self.lowered.plan_mut().record_hits(inputs.len() as u64);
         let outcomes: Vec<Outcome> = match step {
             FrameStep::Classify => {
-                let logits = self.lowered.forward_batch(&inputs)?;
+                let logits = self.lowered.forward_batch(first, &inputs)?;
                 inputs
                     .iter()
                     .zip(logits)
                     .map(|(input, l)| classification_from_logits(&l, input.shape()))
                     .collect::<Result<_>>()?
             }
-            FrameStep::Acquire => {
-                // Acquisition runs through the plan's cached CA operator;
-                // count the reuse even though no weight bank is involved.
-                self.lowered.plan_mut().record_hits(inputs.len() as u64);
-                inputs.iter().map(acquisition_outcome).collect()
-            }
+            FrameStep::Acquire => inputs.iter().map(acquisition_outcome).collect(),
             FrameStep::Kernel(name) => {
-                let filtered = self.lowered.forward_batch(&inputs)?;
+                let filtered = self.lowered.forward_batch(first, &inputs)?;
                 filtered.iter().map(|t| filtered_from(t, name)).collect()
             }
         };
@@ -396,9 +353,10 @@ impl Session {
 
     /// Emits the trace of `count` frames starting at global index
     /// `first_index`: per-frame spans, their stage decomposition and the
-    /// plan-cache delta since `before`. Reads only the performance model
-    /// and the plan counters — never executor or RNG state.
-    fn trace_frames(&mut self, first_index: u64, count: usize, before: PlanStats, ok: bool) {
+    /// plan-cache hits recorded since the count stood at `hits_before`.
+    /// Reads only the performance model and the plan counters — never
+    /// executor or RNG state.
+    fn trace_frames(&mut self, first_index: u64, count: usize, hits_before: u64, ok: bool) {
         let Self {
             tracer,
             lowered,
@@ -442,7 +400,7 @@ impl Session {
             }
         }
         let after = lowered.plan().stats();
-        let hits = after.cache_hits.saturating_sub(before.cache_hits);
+        let hits = after.cache_hits.saturating_sub(hits_before);
         if hits > 0 {
             tracer.sink.record(
                 TraceEvent::instant("plan", "plan-hit", &track, tracer.now_ns)
@@ -454,20 +412,6 @@ impl Session {
                 &track,
                 tracer.now_ns,
                 after.cache_hits as f64,
-            ));
-        }
-        let encodes = after.encodes.saturating_sub(before.encodes);
-        if encodes > 0 {
-            tracer.sink.record(
-                TraceEvent::instant("plan", "plan-encode", &track, tracer.now_ns)
-                    .with_arg("count", encodes),
-            );
-            tracer.sink.record(TraceEvent::counter(
-                "plan",
-                "plan_encodes",
-                &track,
-                tracer.now_ns,
-                after.encodes as f64,
             ));
         }
     }
@@ -536,7 +480,7 @@ impl Session {
     /// around failed requests.
     #[must_use]
     pub fn next_frame_index(&self) -> u64 {
-        self.lowered.next_frame_index()
+        self.next_frame
     }
 
     /// Positions the session at global frame `index`.
@@ -548,7 +492,7 @@ impl Session {
     /// seeks each shard to the ticket of the batch it drained, which is what
     /// keeps pooled execution bit-identical to sequential execution.
     pub fn seek_frame(&mut self, index: u64) {
-        self.lowered.set_next_frame_index(index);
+        self.next_frame = index;
     }
 
     /// Rejects the per-frame entry points on video-stream sessions.
@@ -667,11 +611,11 @@ impl Session {
         let dense_energy = pipeline.perf_acquire.frame_energy + self.perf.frame_energy;
         let perf_acquire = self.tracer.is_some().then(|| pipeline.perf_acquire.clone());
         for frame in frames {
-            let index = self.lowered.next_frame_index();
-            let result = self.stream_frame(frame.borrow(), index);
             // One frame, one index — success or failure, however many
             // block tiles the gate actually computed.
-            self.lowered.set_next_frame_index(index.saturating_add(1));
+            let index = self.next_frame;
+            self.next_frame = index.saturating_add(1);
+            let result = self.stream_frame(frame.borrow(), index);
             let frame = match result {
                 Ok(frame) => frame,
                 Err(err) => {
@@ -779,32 +723,34 @@ impl Session {
         }
 
         // Gather the computed blocks' tiles into the plan's reusable tile
-        // buffer and run them — however many there are — inside one frame's
-        // noise stream, in row-major block order.
+        // buffer (kept at its high-water mark across frames) and run them —
+        // however many there are — inside one frame's noise stream, in
+        // row-major block order.
         let mut tiles = lowered.plan_mut().take_tiles();
         let mut used = 0usize;
         for (block, &compute) in mask.iter().enumerate() {
             if !compute {
                 continue;
             }
-            let (br, bc) = (block / cols, block % cols);
-            if used < tiles.len() {
-                gather_tile_into(
-                    tiles[used].data_mut(),
-                    &state.ref_acquired,
-                    ah,
-                    aw,
-                    bs,
-                    br,
-                    bc,
-                );
-            } else {
-                tiles.push(gather_tile(&state.ref_acquired, ah, aw, bs, br, bc)?);
+            if used == tiles.len() {
+                tiles.push(Tensor::zeros(&[1, bs + 2, bs + 2]));
             }
+            let (br, bc) = (block / cols, block % cols);
+            gather_tile_into(
+                tiles[used].data_mut(),
+                &state.ref_acquired,
+                ah,
+                aw,
+                bs,
+                br,
+                bc,
+            );
             used += 1;
         }
-        tiles.truncate(used);
-        let outputs = lowered.forward_frame_batch(&tiles);
+        // Every stream frame reuses the cached plan once, a fully skipped
+        // frame (no tiles) included.
+        lowered.plan_mut().record_hits(1);
+        let outputs = lowered.forward_frame_batch(index, &tiles[..used]);
         lowered.plan_mut().return_tiles(tiles);
         let outputs = outputs?;
 
@@ -857,9 +803,9 @@ impl Session {
 
     /// Evaluates the classify workload's accuracy on at most `limit` test
     /// samples of a dataset split: through this session's compiled plan
-    /// (one frame index and one cache hit per sample, like
-    /// [`Session::run`]) and digitally on the workload's model for
-    /// reference.
+    /// (each sample is one frame, like a [`Session::run`]: it consumes one
+    /// frame index and, once admitted, records one cache hit) and digitally
+    /// on the workload's model for reference.
     ///
     /// # Errors
     ///
@@ -868,7 +814,10 @@ impl Session {
     /// backend errors.
     pub fn evaluate(&mut self, dataset: &Dataset, limit: usize) -> Result<PhotonicAccuracy> {
         let Self {
-            lowered, workload, ..
+            lowered,
+            workload,
+            next_frame,
+            ..
         } = self;
         let Workload::Classify { model } = workload else {
             return Err(CoreError::ModelMismatch {
@@ -883,8 +832,14 @@ impl Session {
         let mut digital_correct = 0usize;
         for sample in dataset.test().iter().take(limit.max(1)) {
             total += 1;
-            let logits = lowered.forward(&sample.input)?;
-            let class = logits.argmax().ok_or(CoreError::ModelMismatch {
+            let frame = *next_frame;
+            *next_frame = frame.saturating_add(1);
+            let input = std::slice::from_ref(&sample.input);
+            check_model_input(model, input)?;
+            lowered.plan_mut().record_hits(1);
+            let logits = lowered.forward_batch(frame, input)?;
+            let class = logits.first().and_then(Tensor::argmax);
+            let class = class.ok_or(CoreError::ModelMismatch {
                 reason: "model produced an empty logit vector".to_string(),
             })?;
             if class == sample.label {
@@ -998,24 +953,6 @@ fn gather_tile_into(
             data[tr * edge + tc] = acquired.data()[row * width + col - 1];
         }
     }
-}
-
-/// Extracts a fresh `block+halo` tile tensor from the acquired map (the
-/// allocating fallback behind the plan's reusable tile buffer).
-fn gather_tile(
-    acquired: &Tensor,
-    height: usize,
-    width: usize,
-    block_size: usize,
-    block_row: usize,
-    block_col: usize,
-) -> Result<Tensor> {
-    let edge = block_size + 2;
-    let mut data = vec![0.0f32; edge * edge];
-    gather_tile_into(
-        &mut data, acquired, height, width, block_size, block_row, block_col,
-    );
-    Ok(Tensor::from_vec(data, &[1, edge, edge])?)
 }
 
 /// Writes a computed `[1, bs, bs]` tile back into the `[1, h, w]` output.
@@ -1223,6 +1160,7 @@ mod tests {
         let mut with_error = platform.session(workload()).expect("session");
         assert!(with_error.run(&bad).is_err());
         assert_eq!(with_error.next_frame_index(), 1, "error skipped the slot");
+        assert_eq!(with_error.plan_stats().cache_hits, 0, "rejection, no hit");
         let after_error = with_error.run(&good).expect("ok");
 
         let mut seeked = platform.session(workload()).expect("session");

@@ -9,6 +9,10 @@
 //! agreement is a checked invariant of the backend abstraction, not a
 //! hand-maintained table.
 //!
+//! The session, not the backend, owns frame accounting, so one session
+//! script must also leave every backend at the same frame index and the
+//! same plan counters after each step.
+//!
 //! [`CompiledPlan`]: lightator_core::plan::CompiledPlan
 
 use std::sync::Arc;
@@ -17,6 +21,9 @@ use lightator_baselines::electronic::ElectronicBaseline;
 use lightator_baselines::reference::ElectronicReference;
 use lightator_core::backend::BackendId;
 use lightator_core::platform::{ImageKernel, Platform, Session, Workload};
+use lightator_core::stream::StreamConfig;
+use lightator_core::CoreError;
+use lightator_nn::datasets::{generate, SyntheticConfig};
 use lightator_nn::layers::{Activation, Flatten, Linear};
 use lightator_nn::model::Sequential;
 use lightator_photonics::noise::NoiseConfig;
@@ -110,9 +117,8 @@ fn all_image_kernels_agree_across_backends() {
     }
 }
 
-#[test]
-fn classify_logits_agree_across_backends() {
-    let platform = platform();
+/// A two-layer classify head over `platform`'s acquired map, four classes.
+fn classify_workload(platform: &Platform) -> Workload {
     let acquired = platform.acquired_shape();
     let features: usize = acquired.iter().product();
     let mut rng = SmallRng::seed_from_u64(11);
@@ -121,7 +127,13 @@ fn classify_logits_agree_across_backends() {
     model.push(Linear::new(features, 8, &mut rng).expect("hidden"));
     model.push(Activation::relu());
     model.push(Linear::new(8, 4, &mut rng).expect("head"));
-    let workload = Workload::Classify { model };
+    Workload::Classify { model }
+}
+
+#[test]
+fn classify_logits_agree_across_backends() {
+    let platform = platform();
+    let workload = classify_workload(&platform);
 
     let mut photonic = platform.session(workload.clone()).expect("photonic");
     let mut electronic = platform
@@ -190,4 +202,100 @@ fn sessions_saturate_at_the_last_frame_index_on_every_backend() {
         let (_, last) = reports[2].frame().expect("filtered frame");
         assert_eq!(bits(last), bits(&first), "{backend}: saturated batch frame");
     }
+}
+
+/// Every step of one session script leaves the photonic and the electronic
+/// session at the same frame index and the same plan counters: a frame —
+/// run alone, batched, rejected, evaluated or streamed, fully skipped
+/// included — consumes one index, and every admitted frame records one
+/// plan hit. Analog noise stays on, and `run` equals a one-scene
+/// `run_batch` on both backends.
+#[test]
+fn frame_accounting_is_identical_on_every_backend() {
+    let platform = Platform::builder()
+        .sensor_resolution(SENSOR, SENSOR)
+        .register_backend(Arc::new(ElectronicReference::new(
+            ElectronicBaseline::eyeriss(),
+        )))
+        .build()
+        .expect("noisy platform");
+    let open = |workload: &Workload| {
+        [BackendId::photonic(), electronic_id()]
+            .map(|id| platform.session_on(workload.clone(), &id).expect("session"))
+    };
+    let accounting = |sessions: &[Session; 2], step: &str| {
+        let [photonic, electronic] = sessions;
+        assert_eq!(
+            photonic.next_frame_index(),
+            electronic.next_frame_index(),
+            "frame index after {step}"
+        );
+        assert_eq!(
+            photonic.plan_stats(),
+            electronic.plan_stats(),
+            "plan stats after {step}"
+        );
+        (
+            photonic.next_frame_index(),
+            photonic.plan_stats().cache_hits,
+        )
+    };
+
+    let mut sessions = open(&classify_workload(&platform));
+    for session in &mut sessions {
+        let batched = session.clone().run_batch(&[scene()]).expect("batch");
+        let run = session.run(&scene()).expect("run");
+        assert_eq!(vec![run], batched, "`run` is a one-scene `run_batch`");
+    }
+    assert_eq!(accounting(&sessions, "run"), (1, 1));
+
+    for session in &mut sessions {
+        session
+            .run_batch(&[scene(), scene(), scene()])
+            .expect("batch");
+    }
+    assert_eq!(accounting(&sessions, "run_batch"), (4, 4));
+
+    // A frame rejected for a model mismatch consumes its index and records
+    // no plan hit.
+    let mismatched = RgbFrame::filled(SENSOR - 2, SENSOR - 2, [0.5; 3]).expect("scene");
+    for session in &mut sessions {
+        let err = session.run(&mismatched).expect_err("mismatched frame");
+        assert!(matches!(err, CoreError::ModelMismatch { .. }), "{err}");
+    }
+    assert_eq!(accounting(&sessions, "a rejected frame"), (5, 4));
+
+    for session in &mut sessions {
+        session.seek_frame(20);
+    }
+    assert_eq!(accounting(&sessions, "seek_frame"), (20, 4));
+
+    let acquired = platform.acquired_shape();
+    let config = SyntheticConfig {
+        height: acquired[1],
+        width: acquired[2],
+        ..SyntheticConfig::tiny(4)
+    };
+    let dataset = generate("tiny", config, &mut SmallRng::seed_from_u64(3)).expect("dataset");
+    for session in &mut sessions {
+        assert_eq!(session.evaluate(&dataset, 5).expect("evaluate").samples, 5);
+    }
+    assert_eq!(accounting(&sessions, "evaluate"), (25, 9));
+
+    // A gated stream: a static tail skips every block, and each of its
+    // frames still consumes one index and records one hit.
+    let stream = Workload::VideoStream {
+        kernel: ImageKernel::SobelX,
+        stream: StreamConfig {
+            block_size: 2,
+            delta_threshold: 0.05,
+        },
+    };
+    let mut streams = open(&stream);
+    let frames = [scene(), scene(), scene()];
+    for session in &mut streams {
+        let report = session.run_stream(&frames).expect("stream");
+        assert_eq!(report.frames[2].computed_blocks, 0, "static frames skip");
+    }
+    assert_eq!(accounting(&streams, "run_stream"), (3, 3));
 }

@@ -177,11 +177,13 @@ proptest! {
         let mut planned =
             PhotonicExecutor::new(schedule, noise, noise_seed).expect("executor");
 
-        // forward_planned, one frame at a time.
+        // forward_batch_planned, one frame per call.
         for input in &inputs {
             let expected = reference.forward(&mut model, input);
-            let got = planned.forward_planned(&mut plan, input).expect("planned");
-            assert_eq!(bits(expected.data()), bits(got.data()), "forward_planned diverged");
+            let got = planned
+                .forward_batch_planned(&mut plan, std::slice::from_ref(input))
+                .expect("planned");
+            assert_eq!(bits(expected.data()), bits(got[0].data()), "single frame diverged");
         }
         assert_eq!(reference.next_frame_index(), planned.next_frame_index());
 
@@ -208,9 +210,11 @@ proptest! {
         // A seeked executor replays any frame of the reference's stream.
         planned.set_next_frame_index(1);
         reference.set_next_frame_index(1);
-        let got = planned.forward_planned(&mut plan, &inputs[0]).expect("seeked");
+        let got = planned
+            .forward_batch_planned(&mut plan, &inputs[..1])
+            .expect("seeked");
         let expected = reference.forward(&mut model, &inputs[0]);
-        assert_eq!(bits(expected.data()), bits(got.data()), "seeked frame diverged");
+        assert_eq!(bits(expected.data()), bits(got[0].data()), "seeked frame diverged");
     }
 }
 
